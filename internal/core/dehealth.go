@@ -246,10 +246,11 @@ func (p *Pipeline) shardWorld() *shard.World {
 // optional evaluation ground truth (anon user -> aux user) used only to
 // compute TrueRank; pass nil in attack settings.
 //
-// Rows of the similarity matrix are computed in parallel and discarded after
-// candidate extraction, so memory stays O(|V1|·K) for direct selection.
-// GraphMatchingSelection materializes the full matrix and is intended for
-// the small refined-DA datasets.
+// Direct selection scans the similarity matrix in blocks of topKBlock
+// anonymized users, each scored by one pass of the batched kernel over the
+// auxiliary side, and keeps only each row's top k: memory stays
+// O(|V1|·K + workers·topKBlock·|V2|). GraphMatchingSelection materializes
+// the full matrix and is intended for the small refined-DA datasets.
 func (p *Pipeline) TopK(k int, method SelectionMethod, trueMapping map[int]int) *TopKResult {
 	if k < 1 {
 		panic(fmt.Sprintf("core: K must be >= 1, got %d", k))
@@ -264,6 +265,16 @@ func (p *Pipeline) TopK(k int, method SelectionMethod, trueMapping map[int]int) 
 	}
 }
 
+// topKBlock is the batch width of the direct-selection scan: how many
+// anonymized users one ScoreRangeBatch pass over the auxiliary side
+// scores.
+const topKBlock = 16
+
+// topKDirect fans blocks of topKBlock consecutive anonymized users out to
+// GOMAXPROCS workers. A worker prepares each block's batch profile, scores
+// the block's full rows with the batched kernel (bit-identical to the
+// per-row kernel) and reduces every row to its candidates, mean, minimum,
+// extremes and true rank before the next block reuses the row buffers.
 func (p *Pipeline) topKDirect(k int, trueMapping map[int]int) *TopKResult {
 	n1, n2 := p.G1.NumNodes(), p.G2.NumNodes()
 	res := &TopKResult{
@@ -276,69 +287,57 @@ func (p *Pipeline) topKDirect(k int, trueMapping map[int]int) *TopKResult {
 	maxs := make([]float64, n1)
 	mins := make([]float64, n1)
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n1 {
-		workers = n1
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	blocks := (n1 + topKBlock - 1) / topKBlock
+	workers := max(min(runtime.GOMAXPROCS(0), blocks), 1)
 	var wg sync.WaitGroup
-	rows := make(chan int)
+	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			row := make([]float64, n2)
-			var prof similarity.QueryProfile
-			for u := range rows {
-				p.Scorer.PrepareQuery(u, &prof)
-				p.Scorer.ScoreRange(&prof, 0, n2, row)
-				res.Candidates[u] = topCandidates(row, k)
-				res.MeanScore[u] = meanScore(res.Candidates[u])
-				maxs[u], mins[u] = rowExtremes(row)
-				res.RowMin[u] = mins[u]
-				if trueMapping != nil {
-					if tv, ok := trueMapping[u]; ok {
-						res.TrueRank[u] = rankOf(row, tv)
+			var bp similarity.BatchProfile
+			users := make([]int, 0, topKBlock)
+			rows := make([][]float64, topKBlock)
+			for q := range rows {
+				rows[q] = make([]float64, n2)
+			}
+			for lo := range next {
+				users = users[:0]
+				for u := lo; u < min(lo+topKBlock, n1); u++ {
+					users = append(users, u)
+				}
+				p.Scorer.PrepareBatch(users, &bp)
+				p.Scorer.ScoreRangeBatch(&bp, 0, n2, rows)
+				for q, u := range users {
+					row := rows[q]
+					res.Candidates[u] = topCandidates(row, k)
+					res.MeanScore[u] = meanScore(res.Candidates[u])
+					maxs[u], mins[u] = rowExtremes(row)
+					res.RowMin[u] = mins[u]
+					if trueMapping != nil {
+						if tv, ok := trueMapping[u]; ok {
+							res.TrueRank[u] = rankOf(row, tv)
+						}
 					}
 				}
 			}
 		}()
 	}
-	for u := 0; u < n1; u++ {
-		rows <- u
+	for lo := 0; lo < n1; lo += topKBlock {
+		next <- lo
 	}
-	close(rows)
+	close(next)
 	wg.Wait()
 
 	res.MaxScore, res.MinScore = extremes(maxs, mins)
 	return res
 }
 
-// topCandidates returns the k highest-scoring columns of row, sorted
-// descending (ties by smaller index).
+// topCandidates returns the k highest-scoring columns of row under the
+// shard engine's selection order (score descending, ties to the smaller
+// index), selected through a bounded size-k heap rather than a full sort.
 func topCandidates(row []float64, k int) []Candidate {
-	if k > len(row) {
-		k = len(row)
-	}
-	idx := make([]int, len(row))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection: simple full sort is fine at these sizes and keeps
-	// ordering deterministic.
-	sort.Slice(idx, func(a, b int) bool {
-		if row[idx[a]] != row[idx[b]] {
-			return row[idx[a]] > row[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	out := make([]Candidate, k)
-	for i := 0; i < k; i++ {
-		out[i] = Candidate{User: idx[i], Score: row[idx[i]]}
-	}
-	return out
+	return shard.SelectTopK(row, k)
 }
 
 // meanScore averages candidate scores (λ_u).
@@ -421,14 +420,10 @@ func (p *Pipeline) topKMatching(k int, trueMapping map[int]int) *TopKResult {
 		_, res.RowMin[u] = rowExtremes(scores[u])
 	}
 	const struck = -1e18
-	rounds := k
-	if n2 < n1 {
-		// Not all anonymized users can be matched each round; still run k
-		// rounds, collecting what each round yields.
-		rounds = k
-	}
+	// When n2 < n1 not every anonymized user can be matched in a round;
+	// all k rounds still run, each collecting what it yields.
 	exact := n1*n2 <= 250_000
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < k; r++ {
 		var match []int
 		if exact {
 			match = maxWeightMatch(work)

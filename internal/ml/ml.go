@@ -8,6 +8,15 @@
 //
 // Classifiers consume dense feature vectors and integer class labels in
 // [0, numClasses).
+//
+// SMO seeds one math/rand stream per one-vs-one machine. Seeding costs
+// about as much as a small machine's training, and a refined-DA attack
+// reuses a few hundred seeds across thousands of machines, so the package
+// memoizes each seed's output prefix and replays it (seeded.go). The memo
+// is process-wide and bounded: at most 4096 seeds and 2^20 values (8 MiB)
+// at once, emptied and restarted when a new seed would pass either bound.
+// Replayed streams are value-for-value those of rand.NewSource, so the
+// memo changes no trained model.
 package ml
 
 import (

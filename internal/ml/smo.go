@@ -74,28 +74,20 @@ type binarySMO struct {
 	w []float64
 }
 
-// trainBinarySMO fits a binary SVM on x with labels y in {-1,+1}.
-func trainBinarySMO(x [][]float64, y []float64, cfg SMOConfig) *binarySMO {
+// trainBinarySMO fits a binary SVM on x with labels y in {-1,+1}. K is
+// the m×m kernel matrix of x, row-major: K[i*m+j] = kernel(x[i], x[j])
+// for j <= i, mirrored above the diagonal (see gramMatrix).
+func trainBinarySMO(x [][]float64, y []float64, K []float64, cfg SMOConfig) *binarySMO {
 	cfg.fill()
 	m := len(x)
 	s := &binarySMO{cfg: cfg, x: x, y: y, alpha: make([]float64, m)}
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(m)))
+	rng := rand.New(seededSource(cfg.Seed + int64(m)))
 
-	// Precompute the kernel matrix; training sets here are small (refined
-	// DA trains on candidate-set posts).
-	K := make([][]float64, m)
-	for i := range K {
-		K[i] = make([]float64, m)
-		for j := 0; j <= i; j++ {
-			K[i][j] = cfg.kernel(x[i], x[j])
-			K[j][i] = K[i][j]
-		}
-	}
 	f := func(i int) float64 {
 		var s2 float64
-		for j := 0; j < m; j++ {
+		for j, kij := range K[i*m : (i+1)*m] {
 			if s.alpha[j] != 0 {
-				s2 += s.alpha[j] * y[j] * K[i][j]
+				s2 += s.alpha[j] * y[j] * kij
 			}
 		}
 		return s2 + s.b
@@ -127,7 +119,7 @@ func trainBinarySMO(x [][]float64, y []float64, cfg SMOConfig) *binarySMO {
 			if L == H {
 				continue
 			}
-			eta := 2*K[i][j] - K[i][i] - K[j][j]
+			eta := 2*K[i*m+j] - K[i*m+i] - K[j*m+j]
 			if eta >= 0 {
 				continue
 			}
@@ -141,8 +133,8 @@ func trainBinarySMO(x [][]float64, y []float64, cfg SMOConfig) *binarySMO {
 				continue
 			}
 			newAi := ai + y[i]*y[j]*(aj-newAj)
-			b1 := s.b - Ei - y[i]*(newAi-ai)*K[i][i] - y[j]*(newAj-aj)*K[i][j]
-			b2 := s.b - Ej - y[i]*(newAi-ai)*K[i][j] - y[j]*(newAj-aj)*K[j][j]
+			b1 := s.b - Ei - y[i]*(newAi-ai)*K[i*m+i] - y[j]*(newAj-aj)*K[i*m+j]
+			b2 := s.b - Ej - y[i]*(newAi-ai)*K[i*m+j] - y[j]*(newAj-aj)*K[j*m+j]
 			s.alpha[i], s.alpha[j] = newAi, newAj
 			switch {
 			case newAi > 0 && newAi < cfg.C:
@@ -209,6 +201,14 @@ func NewSMO(cfg SMOConfig) *SMO { return &SMO{Config: cfg} }
 
 // Fit trains C(C-1)/2 pairwise machines on the standardized data. Machines
 // are independent, so they train in parallel across GOMAXPROCS workers.
+//
+// Every machine of class a needs the kernel values among a's own rows, so
+// each class's within-class block is computed once and shared: a machine
+// computes only its cross block. That cuts the kernel evaluations of a
+// fit from Σ(n_a+n_b)²/2 over the pairs to N²/2 over the rows, while the
+// shared blocks hold only Σn_a² values. Every entry is the same kernel
+// call with the same arguments as a per-machine matrix would make, so the
+// trained machines are unchanged.
 func (c *SMO) Fit(X [][]float64, y []int) error {
 	classes, err := validate(X, y)
 	if err != nil {
@@ -218,9 +218,9 @@ func (c *SMO) Fit(X [][]float64, y []int) error {
 	c.std = FitStandardizer(X)
 	Xs := c.std.TransformAll(X)
 
-	byClass := make([][]int, classes)
+	byClass := make([][][]float64, classes)
 	for i, cl := range y {
-		byClass[cl] = append(byClass[cl], i)
+		byClass[cl] = append(byClass[cl], Xs[i])
 	}
 	type pair struct{ a, b int }
 	var pairs []pair
@@ -233,43 +233,85 @@ func (c *SMO) Fit(X [][]float64, y []int) error {
 	}
 	c.machines = make([]ovoMachine, len(pairs))
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pairs) {
-		workers = len(pairs)
+	blocks := make([][]float64, classes)
+	parallelFor(classes, func(a int) { blocks[a] = c.Config.gramMatrix(byClass[a]) })
+	parallelFor(len(pairs), func(pi int) {
+		a, b := pairs[pi].a, pairs[pi].b
+		xa, xb := byClass[a], byClass[b]
+		px := make([][]float64, 0, len(xa)+len(xb))
+		px = append(append(px, xa...), xb...)
+		py := make([]float64, len(px))
+		for i := range py {
+			py[i] = 1
+			if i >= len(xa) {
+				py[i] = -1
+			}
+		}
+		cfg := c.Config
+		cfg.Seed += int64(a*classes + b)
+		K := cfg.pairGram(xa, xb, blocks[a], blocks[b])
+		c.machines[pi] = ovoMachine{a: a, b: b, svm: trainBinarySMO(px, py, K, cfg)}
+	})
+	return nil
+}
+
+// gramMatrix returns the row-major kernel matrix of x: entry (i, j) is
+// kernel(x[i], x[j]) for j <= i, mirrored above the diagonal.
+func (c *SMOConfig) gramMatrix(x [][]float64) []float64 {
+	m := len(x)
+	K := make([]float64, m*m)
+	for i := range x {
+		for j := 0; j <= i; j++ {
+			K[i*m+j] = c.kernel(x[i], x[j])
+			K[j*m+i] = K[i*m+j]
+		}
 	}
-	if workers < 1 {
-		workers = 1
+	return K
+}
+
+// pairGram returns gramMatrix of xa's rows followed by xb's, given the
+// within-class blocks ka = gramMatrix(xa) and kb = gramMatrix(xb). Only
+// the cross block is computed, as kernel(xb[i], xa[j]): the argument
+// order gramMatrix uses below the diagonal.
+func (c *SMOConfig) pairGram(xa, xb [][]float64, ka, kb []float64) []float64 {
+	na, nb := len(xa), len(xb)
+	m := na + nb
+	K := make([]float64, m*m)
+	for i := range na {
+		copy(K[i*m:i*m+na], ka[i*na:(i+1)*na])
 	}
+	for i, xi := range xb {
+		row := K[(na+i)*m : (na+i+1)*m]
+		for j, xj := range xa {
+			v := c.kernel(xi, xj)
+			row[j] = v
+			K[j*m+na+i] = v
+		}
+		copy(row[na:], kb[i*nb:(i+1)*nb])
+	}
+	return K
+}
+
+// parallelFor runs fn(i) for every i in [0, n) across at most GOMAXPROCS
+// goroutines.
+func parallelFor(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for pi := range jobs {
-				a, b := pairs[pi].a, pairs[pi].b
-				px := make([][]float64, 0, len(byClass[a])+len(byClass[b]))
-				py := make([]float64, 0, cap(px))
-				for _, i := range byClass[a] {
-					px = append(px, Xs[i])
-					py = append(py, 1)
-				}
-				for _, i := range byClass[b] {
-					px = append(px, Xs[i])
-					py = append(py, -1)
-				}
-				cfg := c.Config
-				cfg.Seed += int64(a*classes + b)
-				c.machines[pi] = ovoMachine{a: a, b: b, svm: trainBinarySMO(px, py, cfg)}
+			for i := range jobs {
+				fn(i)
 			}
 		}()
 	}
-	for pi := range pairs {
-		jobs <- pi
+	for i := range n {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return nil
 }
 
 // Scores returns per-class one-vs-one votes, each weighted by the absolute

@@ -138,6 +138,28 @@ func (sh *Shard) TopK(u, k int) []Candidate {
 	return res
 }
 
+// SelectTopK returns the k best entries of a dense score row (column j
+// is auxiliary user j) under the global selection order, through the same
+// bounded worst-first heap as Shard.TopK: O(len(row)·log k) time, O(k)
+// extra memory. k is clamped to len(row).
+func SelectTopK(row []float64, k int) []Candidate {
+	k = max(min(k, len(row)), 0)
+	h := make(candidateHeap, 0, k)
+	for j, sc := range row {
+		c := Candidate{User: j, Score: sc}
+		if len(h) < k {
+			h = append(h, c)
+			h.up(len(h) - 1)
+		} else if k > 0 && worse(h[0], c) {
+			h[0] = c
+			h.down(0)
+		}
+	}
+	res := []Candidate(h)
+	sortCandidates(res)
+	return res
+}
+
 // sortCandidates orders candidates under the global selection order.
 func sortCandidates(cs []Candidate) {
 	sort.Slice(cs, func(a, b int) bool { return better(cs[a], cs[b]) })
