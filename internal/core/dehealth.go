@@ -273,8 +273,10 @@ const topKBlock = 16
 // topKDirect fans blocks of topKBlock consecutive anonymized users out to
 // GOMAXPROCS workers. A worker prepares each block's batch profile, scores
 // the block's full rows with the batched kernel (bit-identical to the
-// per-row kernel) and reduces every row to its candidates, mean, minimum,
-// extremes and true rank before the next block reuses the row buffers.
+// per-row kernel) and reduces every row to its candidates — a bounded
+// size-k selection under the shard engine's order, score descending then
+// id ascending — mean, minimum, extremes and true rank before the next
+// block reuses the row buffers.
 func (p *Pipeline) topKDirect(k int, trueMapping map[int]int) *TopKResult {
 	n1, n2 := p.G1.NumNodes(), p.G2.NumNodes()
 	res := &TopKResult{
@@ -310,7 +312,7 @@ func (p *Pipeline) topKDirect(k int, trueMapping map[int]int) *TopKResult {
 				p.Scorer.ScoreRangeBatch(&bp, 0, n2, rows)
 				for q, u := range users {
 					row := rows[q]
-					res.Candidates[u] = topCandidates(row, k)
+					res.Candidates[u] = shard.SelectTopK(row, k)
 					res.MeanScore[u] = meanScore(res.Candidates[u])
 					maxs[u], mins[u] = rowExtremes(row)
 					res.RowMin[u] = mins[u]
@@ -331,13 +333,6 @@ func (p *Pipeline) topKDirect(k int, trueMapping map[int]int) *TopKResult {
 
 	res.MaxScore, res.MinScore = extremes(maxs, mins)
 	return res
-}
-
-// topCandidates returns the k highest-scoring columns of row under the
-// shard engine's selection order (score descending, ties to the smaller
-// index), selected through a bounded size-k heap rather than a full sort.
-func topCandidates(row []float64, k int) []Candidate {
-	return shard.SelectTopK(row, k)
 }
 
 // meanScore averages candidate scores (λ_u).

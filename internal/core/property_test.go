@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"dehealth/internal/shard"
 )
 
 // randomTopK builds a synthetic TopKResult with arbitrary score layouts.
@@ -112,10 +114,11 @@ func TestVerifyMeanProperties(t *testing.T) {
 	}
 }
 
-// Property: topCandidates returns exactly the first k entries of the
-// fully sorted row (score descending, ties to the smaller index). Rows are
-// drawn both with continuous scores and tie-heavy (a handful of distinct
-// values), where only the id tie-break decides membership and order.
+// Property: shard.SelectTopK, direct selection's per-row step, returns
+// exactly the first k entries of the fully sorted row (score descending,
+// ties to the smaller index). Rows are drawn both with continuous scores
+// and tie-heavy (a handful of distinct values), where only the id
+// tie-break decides membership and order.
 func TestTopCandidatesProperty(t *testing.T) {
 	f := func(seed int64, ties bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -129,7 +132,7 @@ func TestTopCandidatesProperty(t *testing.T) {
 			}
 		}
 		k := 1 + rng.Intn(n)
-		cs := topCandidates(row, k)
+		cs := shard.SelectTopK(row, k)
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = i
@@ -155,7 +158,7 @@ func TestTopCandidatesProperty(t *testing.T) {
 	}
 }
 
-// Property: rankOf is consistent with topCandidates — the candidate at
+// Property: rankOf is consistent with shard.SelectTopK — the candidate at
 // position i has rank i+1.
 func TestRankOfProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -165,7 +168,7 @@ func TestRankOfProperty(t *testing.T) {
 		for i := range row {
 			row[i] = float64(rng.Intn(5)) // ties likely
 		}
-		cs := topCandidates(row, n)
+		cs := shard.SelectTopK(row, n)
 		for i, c := range cs {
 			if rankOf(row, c.User) != i+1 {
 				return false
