@@ -242,8 +242,9 @@ func (c *SMO) Fit(X [][]float64, y []int) error {
 		px = append(append(px, xa...), xb...)
 		py := make([]float64, len(px))
 		for i := range py {
-			py[i] = 1
-			if i >= len(xa) {
+			if i < len(xa) {
+				py[i] = 1
+			} else {
 				py[i] = -1
 			}
 		}
