@@ -773,17 +773,19 @@ type ServeOptions struct {
 	Addr string
 	// Workers bounds the per-flush query fan-out (<= 0 uses all CPUs).
 	Workers int
-	// Batch is the micro-batch size: pending requests flush at this count
-	// (default 32). A flush's queries are answered through the multi-query
-	// blocked scoring kernel, so Batch also bounds how many queries one
-	// pass over the auxiliary data scores together.
+	// Batch caps the micro-batch: one flush takes at most this many of
+	// the requests waiting for it (default 32). A flush's queries are
+	// answered through the multi-query blocked scoring kernel, so Batch
+	// also bounds how many queries one pass over the auxiliary data
+	// scores together.
 	Batch int
-	// FlushInterval flushes a non-empty micro-batch after this deadline
-	// (default 2ms).
+	// FlushInterval was the micro-batch flush deadline.
+	//
+	// Deprecated: ignored; the dispatcher flushes as soon as it is idle.
 	FlushInterval time.Duration
-	// DrainTimeout bounds how long Close waits for the pending micro-batch
-	// to finish flushing before returning serve.ErrDrainTimeout (default
-	// 5s); in-flight waiters are answered either way.
+	// DrainTimeout bounds how long Close waits for the flush in progress
+	// to finish before returning serve.ErrDrainTimeout (default 5s);
+	// in-flight waiters are answered either way.
 	DrainTimeout time.Duration
 	// K is the candidate-set size of queries that omit k (default 10).
 	K int
@@ -799,7 +801,9 @@ type ServeOptions struct {
 
 // Server is the running dehealthd query service (see internal/serve): an
 // HTTP API over a prepared world, admitting queries and ingests through a
-// micro-batching channel that flushes on size or deadline. Within a flush,
+// micro-batching channel that batches only while busy: a request arriving
+// at an idle dispatcher is flushed at once, and requests arriving during
+// a flush form the next one, up to ServeOptions.Batch. Within a flush,
 // ingests apply before queries and queries are answered in same-k groups
 // through the batched scoring kernel, so the service is race-free by
 // construction and each auxiliary pass serves the whole group.
@@ -899,11 +903,10 @@ func (b serveBackend) ShardSizes() []serve.ShardCount {
 // and stop it with Close.
 func NewServer(pw *PreparedWorld, opt ServeOptions) *Server {
 	cfg := serve.Config{
-		Workers:       opt.Workers,
-		MaxBatch:      opt.Batch,
-		FlushInterval: opt.FlushInterval,
-		DrainTimeout:  opt.DrainTimeout,
-		DefaultK:      opt.K,
+		Workers:      opt.Workers,
+		MaxBatch:     opt.Batch,
+		DrainTimeout: opt.DrainTimeout,
+		DefaultK:     opt.K,
 	}
 	if path := opt.SnapshotPath; path != "" {
 		cfg.Snapshot = func() (serve.SnapshotInfo, error) {

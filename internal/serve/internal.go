@@ -15,7 +15,7 @@
 package serve
 
 import (
-	"encoding/json"
+	"fmt"
 	"net/http"
 )
 
@@ -111,8 +111,11 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 // traffic), then rebases candidate ids to global at the wire boundary.
 func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 	var q InternalQuery
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid internal query body: " + err.Error()})
+	if !decodeBody(w, r, "internal query body", &q) {
+		return
+	}
+	if len(q.Users) > maxBatchUsers {
+		writeJSON(w, http.StatusBadRequest, errorWire{Error: fmt.Sprintf("internal query of %d users exceeds the limit of %d", len(q.Users), maxBatchUsers)})
 		return
 	}
 	res, err := s.submit(&request{bquery: &q, done: make(chan result, 1)}, r.Context().Done())

@@ -5,9 +5,12 @@
 // behind the paper, rather than the offline batch experiments.
 //
 // Concurrency is organized around a micro-batching channel: every request
-// (query or ingest) is enqueued to a single dispatcher goroutine that
-// flushes when the pending batch reaches Config.MaxBatch or when
-// Config.FlushInterval elapses, whichever comes first. Within a flush,
+// (query or ingest) is handed to a single dispatcher goroutine that
+// batches only while busy. It blocks for one request, takes whatever else
+// is already waiting (up to Config.MaxBatch) without blocking, and flushes
+// at once; requests that arrive during a flush wait on the channel and
+// form the next batch. A lone request is never held back for company,
+// and under load batches still grow toward MaxBatch. Within a flush,
 // ingests are applied first — serially, in arrival order, as one backend
 // call — and then the flush's queries are handed to the backend whole:
 // grouped by effective k, each group is one Backend.QueryBatch call, which
@@ -145,15 +148,13 @@ type Config struct {
 	// when a batched query group fails (<= 0 uses GOMAXPROCS). The batched
 	// path itself delegates fan-out to Backend.QueryBatch.
 	Workers int
-	// MaxBatch flushes the pending micro-batch at this size (default 32).
+	// MaxBatch caps how many waiting requests one flush takes (default
+	// 32); the rest stay queued for the next flush.
 	MaxBatch int
-	// FlushInterval flushes a non-empty micro-batch after this deadline
-	// (default 2ms).
-	FlushInterval time.Duration
 	// DefaultK is the candidate-set size of queries that omit k (default 10).
 	DefaultK int
 	// DrainTimeout bounds how long Close waits for the dispatcher to
-	// finish the pending micro-batch (default 5s). Within the deadline
+	// finish the flush in progress (default 5s). Within the deadline
 	// every in-flight waiter gets its response; past it Close returns
 	// ErrDrainTimeout while the flush finishes in the background, and
 	// late-arriving requests get ErrClosed either way.
@@ -181,9 +182,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
 	}
 	if c.DefaultK <= 0 {
 		c.DefaultK = 10
@@ -283,42 +281,33 @@ func New(b Backend, cfg Config) *Server {
 	return s
 }
 
-// dispatch is the single consumer of the request channel: it accumulates a
-// micro-batch and flushes on size or deadline.
+// dispatch is the single consumer of the request channel. It blocks for
+// one request, drains whatever else is already waiting — without blocking,
+// up to MaxBatch — and flushes at once. Requests that arrive during the
+// flush park on the unbuffered channel and become the next batch, so
+// batches form only while the dispatcher is busy.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
-	var batch []*request
-	timer := time.NewTimer(s.cfg.FlushInterval)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	flush := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		s.flush(batch)
-		batch = nil
-	}
+	batch := make([]*request, 0, s.cfg.MaxBatch)
 	for {
 		select {
 		case r := <-s.reqs:
-			if len(batch) == 0 {
-				timer.Reset(s.cfg.FlushInterval)
-			}
 			batch = append(batch, r)
-			if len(batch) >= s.cfg.MaxBatch {
-				flush()
-			}
-		case <-timer.C:
-			s.flush(batch)
-			batch = nil
 		case <-s.quit:
-			flush()
 			return
 		}
+	fill:
+		for len(batch) < s.cfg.MaxBatch {
+			select {
+			case r := <-s.reqs:
+				batch = append(batch, r)
+			default:
+				break fill
+			}
+		}
+		s.flush(batch)
+		clear(batch)
+		batch = batch[:0]
 	}
 }
 
@@ -394,7 +383,7 @@ func (s *Server) flush(batch []*request) {
 	// groups (in first-arrival order) and answer each group with one
 	// Backend.QueryBatch (or QueryBatchApprox) call, so the backend's
 	// multi-query kernel scores the whole group per pass over the
-	// auxiliary data. MaxBatch is thus the kernel's batch width. The
+	// auxiliary data. MaxBatch thus bounds the kernel's batch width. The
 	// group/user scratch lives on the Server and is reused across flushes.
 	for qs := queries; len(qs) > 0; {
 		k := s.effectiveK(qs[0])
@@ -544,8 +533,8 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Close stops the dispatcher, draining the pending micro-batch so every
-// in-flight waiter gets its response, then shuts the HTTP side down
+// Close stops the dispatcher, letting the flush in progress finish so every
+// waiter it holds gets its response, then shuts the HTTP side down
 // gracefully if a listener was started — http.Server.Shutdown, so handler
 // goroutines finish writing the responses the drain just produced before
 // connections close. The whole shutdown is bounded by Config.DrainTimeout:
@@ -668,10 +657,38 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Request bounds of the serve path: far above anything a real client
+// sends, yet low enough that one request cannot make the server buffer an
+// unbounded body or hand the kernel an unbounded batch.
+const (
+	// maxBodyBytes caps the body of /v1/query, /v1/ingest and
+	// /internal/query; a larger body gets 413.
+	maxBodyBytes = 8 << 20
+	// maxBatchUsers caps the accounts of one /v1/ingest array and the
+	// users of one /internal/query; a longer batch gets 400.
+	maxBatchUsers = 1 << 16
+)
+
+// decodeBody decodes the size-capped JSON body of r into v. On failure it
+// answers 413 for an oversized body or 400 for a malformed one, naming
+// the body as what, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorWire{Error: "invalid " + what + ": " + err.Error()})
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q queryWire
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid query body: " + err.Error()})
+	if !decodeBody(w, r, "query body", &q) {
 		return
 	}
 	res, err := s.submit(&request{query: &q, done: make(chan result, 1)}, r.Context().Done())
@@ -692,8 +709,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var raw json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid ingest body: " + err.Error()})
+	if !decodeBody(w, r, "ingest body", &raw) {
 		return
 	}
 	// A JSON array is a batched ingest; a single object remains accepted
@@ -717,6 +733,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(ins) == 0 {
 		writeJSON(w, http.StatusOK, ingestBatchReplyWire{Users: []int{}})
+		return
+	}
+	if len(ins) > maxBatchUsers {
+		writeJSON(w, http.StatusBadRequest, errorWire{Error: fmt.Sprintf("ingest batch of %d accounts exceeds the limit of %d", len(ins), maxBatchUsers)})
 		return
 	}
 

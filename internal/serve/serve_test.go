@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,7 +120,7 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 // user, and read back stats.
 func TestHTTPRoundTrip(t *testing.T) {
 	b := newTestBackend(t, 16, 61)
-	s := New(b, Config{MaxBatch: 4, FlushInterval: time.Millisecond, DefaultK: 5})
+	s := New(b, Config{MaxBatch: 4, DefaultK: 5})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -195,7 +198,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 // users, bad thread references, wrong methods, and a closed server.
 func TestHTTPErrors(t *testing.T) {
 	b := newTestBackend(t, 10, 71)
-	s := New(b, Config{FlushInterval: time.Millisecond})
+	s := New(b, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -240,96 +243,180 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestMicroBatching checks both flush triggers: a lone request flushes on
-// the deadline despite a huge MaxBatch, and a burst flushes by size into
-// far fewer batches than requests.
-func TestMicroBatching(t *testing.T) {
-	b := newTestBackend(t, 12, 81)
-	s := New(b, Config{MaxBatch: 1024, FlushInterval: 5 * time.Millisecond, DefaultK: 3})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+// holdBackend holds the first flush that reaches the backend — through
+// Ingest or QueryBatch — until the test closes release. Requests sent
+// while it is held park on the dispatcher's channel and, once released,
+// form the next batch together: how tests build a batch on purpose.
+type holdBackend struct {
+	Backend
+	held    chan struct{} // closed once the first flush is inside the backend
+	release chan struct{} // closed by the test to let that flush finish
+	once    sync.Once
+}
 
-	resp := postJSON(t, ts.URL+"/v1/query", map[string]int{"user": 0})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deadline-flushed query: status %d", resp.StatusCode)
-	}
+func newHoldBackend(b Backend) *holdBackend {
+	return &holdBackend{Backend: b, held: make(chan struct{}), release: make(chan struct{})}
+}
 
-	const burst = 48
-	var wg sync.WaitGroup
-	errs := make([]error, burst)
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/query", "application/json",
-				bytes.NewReader([]byte(fmt.Sprintf(`{"user": %d}`, i%12))))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("burst query %d: %v", i, err)
+func (b *holdBackend) hold() {
+	b.once.Do(func() {
+		close(b.held)
+		<-b.release
+	})
+}
+
+func (b *holdBackend) Ingest(batch []features.UserPosts) ([]int, error) {
+	b.hold()
+	return b.Backend.Ingest(batch)
+}
+
+func (b *holdBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) {
+	b.hold()
+	return b.Backend.QueryBatch(users, k)
+}
+
+// waitParked waits until n goroutines are blocked in Server.submit: the
+// requests parked on the dispatcher's channel behind a held flush plus
+// the waiters of the held flush itself. Only then is the next batch
+// fixed, so releasing the flush forms it deterministically.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	const frame = "dehealth/internal/serve.(*Server).submit("
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		m := runtime.Stack(buf, true)
+		for m == len(buf) { // truncated: grow until every goroutine fits
+			buf = make([]byte, 2*len(buf))
+			m = runtime.Stack(buf, true)
 		}
-	}
-	stats := s.Stats()
-	if stats.Queries != burst+1 {
-		t.Fatalf("queries = %d, want %d", stats.Queries, burst+1)
-	}
-	if stats.MeanBatchSize <= 1 && stats.Batches >= burst {
-		t.Logf("warning: burst did not batch (batches=%d mean=%.1f)", stats.Batches, stats.MeanBatchSize)
+		parked := 0
+		for _, g := range strings.Split(string(buf[:m]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, frame) {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests waiting in submit, want %d", parked, n)
+		}
 	}
 }
 
-// TestIngestBatchFailureIsolation forces a valid and an invalid ingest
-// into the same micro-batch (MaxBatch 2, long deadline) and checks the
-// valid client succeeds while only the bad request is rejected.
-func TestIngestBatchFailureIsolation(t *testing.T) {
-	b := newTestBackend(t, 12, 91)
-	anon0, _ := b.Sizes()
-	s := New(b, Config{MaxBatch: 2, FlushInterval: 10 * time.Second})
+type reply struct {
+	status int
+	body   []byte
+}
+
+// postAsync posts a JSON body on its own goroutine and delivers the
+// reply; status -1 means the request never got an HTTP response.
+func postAsync(url, body string) <-chan reply {
+	out := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			out <- reply{status: -1, body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		buf, err := io.ReadAll(resp.Body)
+		if err != nil {
+			out <- reply{status: -1, body: []byte(err.Error())}
+			return
+		}
+		out <- reply{status: resp.StatusCode, body: buf}
+	}()
+	return out
+}
+
+// holderIngest is the ingest a test sends to occupy the dispatcher with
+// a held flush before it parks the requests under test.
+const holderIngest = `{"name": "holder", "posts": [{"text": "an account that keeps the dispatcher busy"}]}`
+
+// TestMicroBatching pins batch-while-busy: queries that arrive while a
+// flush runs park on the dispatcher's channel and, once it finishes,
+// reach the backend MaxBatch at a time — ceil(N/MaxBatch) QueryBatch
+// calls for N parked queries — with every reply matching QueryUser.
+func TestMicroBatching(t *testing.T) {
+	spy := &batchSpyBackend{testBackend: newTestBackend(t, 12, 81)}
+	b := newHoldBackend(spy)
+	const maxBatch, n = 4, 10
+	s := New(b, Config{MaxBatch: maxBatch, DefaultK: 3})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	type reply struct {
-		status int
-		body   string
+	holder := postAsync(ts.URL+"/v1/ingest", holderIngest)
+	<-b.held
+	replies := make([]<-chan reply, n)
+	for i := range replies {
+		replies[i] = postAsync(ts.URL+"/v1/query", fmt.Sprintf(`{"user": %d}`, i))
 	}
-	results := make(chan reply, 2)
-	send := func(w ingestWire) {
-		buf, _ := json.Marshal(w)
-		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(buf))
-		if err != nil {
-			t.Error(err)
-			results <- reply{}
-			return
+	waitParked(t, n+1) // the parked queries plus the held ingest's waiter
+	close(b.release)
+
+	if r := <-holder; r.status != http.StatusOK {
+		t.Fatalf("holder ingest: status %d (%s)", r.status, r.body)
+	}
+	for i, ch := range replies {
+		r := <-ch
+		if r.status != http.StatusOK {
+			t.Fatalf("query %d: status %d (%s)", i, r.status, r.body)
 		}
-		defer resp.Body.Close()
-		var body bytes.Buffer
-		_, _ = body.ReadFrom(resp.Body)
-		results <- reply{status: resp.StatusCode, body: body.String()}
+		var q queryReplyWire
+		if err := json.Unmarshal(r.body, &q); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := spy.testBackend.QueryUser(i, 3)
+		if len(q.Candidates) != len(want) {
+			t.Fatalf("query %d: %d candidates, want %d", i, len(q.Candidates), len(want))
+		}
+		for j, c := range q.Candidates {
+			if c.User != want[j].User || c.Score != want[j].Score {
+				t.Fatalf("query %d candidate %d: %+v, want %+v", i, j, c, want[j])
+			}
+		}
+	}
+	if got, want := atomic.LoadInt32(&spy.batchCalls), int32((n+maxBatch-1)/maxBatch); got != want {
+		t.Fatalf("%d parked queries reached the backend in %d QueryBatch calls, want %d", n, got, want)
+	}
+	if got := atomic.LoadInt32(&spy.batchedQs); got != n {
+		t.Fatalf("QueryBatch saw %d queries total, want %d", got, n)
+	}
+}
+
+// TestIngestBatchFailureIsolation parks a valid and an invalid ingest
+// behind a held flush so they share the next micro-batch, and checks the
+// valid client succeeds while only the bad request is rejected.
+func TestIngestBatchFailureIsolation(t *testing.T) {
+	b := newHoldBackend(newTestBackend(t, 12, 91))
+	anon0, _ := b.Sizes()
+	s := New(b, Config{MaxBatch: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	holder := postAsync(ts.URL+"/v1/query", `{"user": 0, "k": 2}`)
+	<-b.held
+	send := func(w ingestWire) <-chan reply {
+		buf, _ := json.Marshal(w)
+		return postAsync(ts.URL+"/v1/ingest", string(buf))
 	}
 	bad := 9999
-	go send(ingestWire{Name: "good", Posts: []ingestPostWire{{Text: "valid post about recovery"}}})
-	// Give the first request time to enter the pending batch; the second
-	// fills the batch and triggers the size flush. (If scheduling reorders
-	// them, the test still checks one success + one failure.)
-	time.Sleep(50 * time.Millisecond)
-	go send(ingestWire{Name: "bad", Posts: []ingestPostWire{{Thread: &bad, Text: "x"}}})
+	results := []<-chan reply{
+		send(ingestWire{Name: "good", Posts: []ingestPostWire{{Text: "valid post about recovery"}}}),
+		send(ingestWire{Name: "bad", Posts: []ingestPostWire{{Thread: &bad, Text: "x"}}}),
+	}
+	waitParked(t, 3) // both ingests plus the held query's waiter
+	close(b.release)
+	if r := <-holder; r.status != http.StatusOK {
+		t.Fatalf("holder query: status %d (%s)", r.status, r.body)
+	}
 
 	var ok, failed int
-	for i := 0; i < 2; i++ {
-		r := <-results
+	for _, ch := range results {
+		r := <-ch
 		switch r.status {
 		case http.StatusOK:
 			ok++
@@ -344,6 +431,48 @@ func TestIngestBatchFailureIsolation(t *testing.T) {
 	}
 	if anon1, _ := b.Sizes(); anon1 != anon0+1 {
 		t.Fatalf("anon users = %d, want %d (exactly the valid ingest applied)", anon1, anon0+1)
+	}
+	if st := s.Stats(); st.Batches != 2 {
+		t.Fatalf("%d flushes, want 2 (the held query, then both ingests together)", st.Batches)
+	}
+}
+
+// TestRequestBounds checks each serve-path limit: bodies past
+// maxBodyBytes get 413 on /v1/query, /v1/ingest and /internal/query, and
+// batches past maxBatchUsers get 400 on /v1/ingest and /internal/query —
+// all before anything reaches the backend.
+func TestRequestBounds(t *testing.T) {
+	b := &batchSpyBackend{testBackend: newTestBackend(t, 10, 97)}
+	anon0, _ := b.Sizes()
+	s := New(b, Config{})
+	defer s.Close()
+	h := s.Handler()
+
+	pad := strings.Repeat("x", maxBodyBytes)
+	long := func(item string) string {
+		return strings.TrimSuffix(strings.Repeat(item+",", maxBatchUsers+1), ",")
+	}
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"oversized query", "/v1/query", `{"user": 1, "pad": "` + pad + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized ingest", "/v1/ingest", `{"name": "` + pad + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized internal query", "/internal/query", `{"users": [1], "pad": "` + pad + `"}`, http.StatusRequestEntityTooLarge},
+		{"over-long ingest batch", "/v1/ingest", `[` + long(`{"name": "x"}`) + `]`, http.StatusBadRequest},
+		{"over-long internal query", "/internal/query", `{"users": [` + long("0") + `]}`, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Fatalf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
+		}
+	}
+	if anon1, _ := b.Sizes(); anon1 != anon0 {
+		t.Fatalf("rejected ingests mutated the world: %d users, want %d", anon1, anon0)
+	}
+	if calls := atomic.LoadInt32(&b.batchCalls) + atomic.LoadInt32(&b.singleCalls); calls != 0 {
+		t.Fatalf("rejected queries reached the backend %d times", calls)
 	}
 }
 
@@ -375,7 +504,7 @@ func TestServeAfterClose(t *testing.T) {
 func TestBatchedIngest(t *testing.T) {
 	b := newTestBackend(t, 12, 101)
 	anon0, _ := b.Sizes()
-	s := New(b, Config{FlushInterval: time.Millisecond})
+	s := New(b, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -447,7 +576,7 @@ func TestBatchedIngest(t *testing.T) {
 // backend reports.
 func TestStatsShards(t *testing.T) {
 	b := newTestBackend(t, 14, 111)
-	s := New(b, Config{FlushInterval: time.Millisecond})
+	s := New(b, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -466,81 +595,43 @@ func TestStatsShards(t *testing.T) {
 }
 
 // TestCloseDrainsInFlight pins the graceful-drain contract: a query
-// sitting in the pending micro-batch when Close arrives is answered (the
-// final flush runs inside the drain window) and Close returns nil.
+// whose flush is running when Close arrives is answered (Close waits for
+// the flush inside the drain window) and Close returns nil.
 func TestCloseDrainsInFlight(t *testing.T) {
-	b := newTestBackend(t, 10, 121)
-	// Huge MaxBatch + long deadline: the request can only be flushed by
-	// Close's quit path, never by size or timer.
-	s := New(b, Config{MaxBatch: 1024, FlushInterval: time.Hour, DrainTimeout: 5 * time.Second})
+	b := newHoldBackend(newTestBackend(t, 10, 121))
+	s := New(b, Config{DrainTimeout: 5 * time.Second})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	type outcome struct {
-		status int
-		err    error
-	}
-	got := make(chan outcome, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{"user": 1, "k": 3}`)))
-		if err != nil {
-			got <- outcome{err: err}
-			return
-		}
-		resp.Body.Close()
-		got <- outcome{status: resp.StatusCode}
-	}()
-	// Let the request reach the dispatcher's pending batch.
-	time.Sleep(100 * time.Millisecond)
-	if err := s.Close(); err != nil {
+	got := postAsync(ts.URL+"/v1/query", `{"user": 1, "k": 3}`)
+	<-b.held
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	<-s.quit // Close has begun while the flush is held
+	close(b.release)
+	if err := <-closed; err != nil {
 		t.Fatalf("Close = %v, want nil (drained)", err)
 	}
 	o := <-got
-	if o.err != nil {
-		t.Fatalf("in-flight query failed: %v", o.err)
+	if o.status == -1 {
+		t.Fatalf("in-flight query failed: %s", o.body)
 	}
 	if o.status != http.StatusOK {
 		t.Fatalf("in-flight query status %d, want 200 (drained with a response)", o.status)
 	}
 }
 
-// stallBackend wraps a backend whose QueryUser blocks until released —
-// the pathological flush the drain deadline exists for.
-type stallBackend struct {
-	*testBackend
-	release chan struct{}
-}
-
-func (b *stallBackend) QueryUser(u, k int) ([]core.Candidate, error) {
-	<-b.release
-	return b.testBackend.QueryUser(u, k)
-}
-
-func (b *stallBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) {
-	<-b.release
-	return b.testBackend.QueryBatch(users, k)
-}
-
 // TestCloseDrainTimeout checks Close gives up after DrainTimeout with
 // ErrDrainTimeout while the stuck flush still answers its waiter once the
 // backend recovers — late, but never dropped.
 func TestCloseDrainTimeout(t *testing.T) {
-	b := &stallBackend{testBackend: newTestBackend(t, 10, 131), release: make(chan struct{})}
-	s := New(b, Config{MaxBatch: 1, FlushInterval: time.Millisecond, DrainTimeout: 50 * time.Millisecond})
+	b := newHoldBackend(newTestBackend(t, 10, 131))
+	s := New(b, Config{MaxBatch: 1, DrainTimeout: 50 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	status := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{"user": 0, "k": 2}`)))
-		if err != nil {
-			status <- -1
-			return
-		}
-		resp.Body.Close()
-		status <- resp.StatusCode
-	}()
-	time.Sleep(50 * time.Millisecond) // let the flush enter the stalled backend
+	status := postAsync(ts.URL+"/v1/query", `{"user": 0, "k": 2}`)
+	<-b.held // the flush is inside the stalled backend
 
 	start := time.Now()
 	err := s.Close()
@@ -552,7 +643,7 @@ func TestCloseDrainTimeout(t *testing.T) {
 	}
 
 	close(b.release) // backend recovers; the background flush completes
-	if got := <-status; got != http.StatusOK && got != -1 {
+	if got := (<-status).status; got != http.StatusOK && got != -1 {
 		t.Fatalf("stalled query finished with status %d", got)
 	}
 }
@@ -562,8 +653,8 @@ func TestCloseDrainTimeout(t *testing.T) {
 // goroutine finish writing the drained response before the connection is
 // torn down — http.Server.Shutdown semantics, not Close semantics.
 func TestCloseDrainsServePath(t *testing.T) {
-	b := newTestBackend(t, 10, 141)
-	s := New(b, Config{MaxBatch: 1024, FlushInterval: time.Hour, DrainTimeout: 5 * time.Second})
+	b := newHoldBackend(newTestBackend(t, 10, 141))
+	s := New(b, Config{DrainTimeout: 5 * time.Second})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -571,28 +662,18 @@ func TestCloseDrainsServePath(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve(l) }()
 
-	type outcome struct {
-		status int
-		err    error
-	}
-	got := make(chan outcome, 1)
-	go func() {
-		resp, err := http.Post("http://"+l.Addr().String()+"/v1/query", "application/json",
-			bytes.NewReader([]byte(`{"user": 1, "k": 3}`)))
-		if err != nil {
-			got <- outcome{err: err}
-			return
-		}
-		resp.Body.Close()
-		got <- outcome{status: resp.StatusCode}
-	}()
-	time.Sleep(100 * time.Millisecond) // let the request reach the pending batch
-	if err := s.Close(); err != nil {
+	got := postAsync("http://"+l.Addr().String()+"/v1/query", `{"user": 1, "k": 3}`)
+	<-b.held
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	<-s.quit // Close has begun while the flush is held
+	close(b.release)
+	if err := <-closed; err != nil {
 		t.Fatalf("Close = %v, want nil", err)
 	}
 	o := <-got
-	if o.err != nil {
-		t.Fatalf("in-flight query over the live listener failed: %v", o.err)
+	if o.status == -1 {
+		t.Fatalf("in-flight query over the live listener failed: %s", o.body)
 	}
 	if o.status != http.StatusOK {
 		t.Fatalf("in-flight query status %d, want 200", o.status)
@@ -623,17 +704,21 @@ func (b *batchSpyBackend) QueryBatch(users []int, k int) ([][]core.Candidate, er
 	return b.testBackend.QueryBatch(users, k)
 }
 
-// TestQueryFlushGroupsByK forces queries with two distinct k values (and
-// one omitting k, which resolves to DefaultK) into one micro-batch and
+// TestQueryFlushGroupsByK parks queries with two distinct k values (and
+// one omitting k, which resolves to DefaultK) behind a held flush so they
+// form one micro-batch, and
 // checks the flush answers them as exactly two QueryBatch groups — no
 // per-query backend calls — with every client's reply correct for its own
 // k.
 func TestQueryFlushGroupsByK(t *testing.T) {
 	b := &batchSpyBackend{testBackend: newTestBackend(t, 12, 151)}
-	s := New(b, Config{MaxBatch: 6, FlushInterval: 10 * time.Second, DefaultK: 3})
+	hb := newHoldBackend(b)
+	s := New(hb, Config{MaxBatch: 6, DefaultK: 3})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	holder := postAsync(ts.URL+"/v1/ingest", holderIngest)
+	<-hb.held
 
 	reqs := []struct{ user, k, wantLen int }{
 		{0, 2, 2}, {1, 0, 3}, {2, 5, 5}, {3, 2, 2}, {4, 3, 3}, {5, 5, 5},
@@ -653,6 +738,11 @@ func TestQueryFlushGroupsByK(t *testing.T) {
 			}
 			replies[i] = decode[queryReplyWire](t, resp)
 		}(i, q.user, q.k)
+	}
+	waitParked(t, len(reqs)+1) // the parked queries plus the held ingest's waiter
+	close(hb.release)
+	if r := <-holder; r.status != http.StatusOK {
+		t.Fatalf("holder ingest: status %d (%s)", r.status, r.body)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -683,16 +773,19 @@ func TestQueryFlushGroupsByK(t *testing.T) {
 	}
 }
 
-// TestQueryBatchFailureIsolation forces a bad user into the same flush as
-// two valid queries of the same k: the group's QueryBatch fails whole, the
+// TestQueryBatchFailureIsolation parks a bad user behind a held flush
+// with two valid queries of the same k, so all three share the next flush: the group's QueryBatch fails whole, the
 // per-query fallback must reject only the bad request and still answer its
 // peers correctly.
 func TestQueryBatchFailureIsolation(t *testing.T) {
 	b := &batchSpyBackend{testBackend: newTestBackend(t, 12, 161)}
-	s := New(b, Config{MaxBatch: 3, FlushInterval: 10 * time.Second})
+	hb := newHoldBackend(b)
+	s := New(hb, Config{MaxBatch: 3})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	holder := postAsync(ts.URL+"/v1/ingest", holderIngest)
+	<-hb.held
 
 	users := []int{0, 9999, 1}
 	var wg sync.WaitGroup
@@ -705,6 +798,11 @@ func TestQueryBatchFailureIsolation(t *testing.T) {
 			resp.Body.Close()
 			statuses[i] = resp.StatusCode
 		}(i, u)
+	}
+	waitParked(t, len(users)+1) // the parked queries plus the held ingest's waiter
+	close(hb.release)
+	if r := <-holder; r.status != http.StatusOK {
+		t.Fatalf("holder ingest: status %d (%s)", r.status, r.body)
 	}
 	wg.Wait()
 	if statuses[0] != http.StatusOK || statuses[2] != http.StatusOK {
@@ -724,7 +822,7 @@ func TestQueryBatchFailureIsolation(t *testing.T) {
 // scratch is pooled, leaving only per-result slices and bookkeeping.
 func TestFlushQueryAllocs(t *testing.T) {
 	b := newTestBackend(t, 30, 171)
-	s := New(b, Config{MaxBatch: 64, FlushInterval: 10 * time.Second, DefaultK: 5})
+	s := New(b, Config{MaxBatch: 64, DefaultK: 5})
 	defer s.Close()
 
 	const q = 8
