@@ -801,7 +801,7 @@ func BenchmarkScoreKernel(b *testing.B) {
 	w := GenerateWorld(WorldConfig{WebMDUsers: 500, HBUsers: 500, Seed: 101})
 	split := SplitClosedWorld(w.WebMD, 0.5, 102)
 	// MaxBigrams 300 keeps the stylometric attribute sets dense — the
-	// regime where the fused attribute merge carries the kernel win.
+	// regime where the attribute term dominates the pair cost.
 	anonS, auxS := features.BuildPair(split.Anon, split.Aux, 300, features.Options{})
 	cfg := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 10}
 	p := core.NewPipelineFromStore(anonS, auxS, cfg)
@@ -1101,7 +1101,7 @@ func BenchmarkScoreKernelBatch(b *testing.B) {
 	w := GenerateWorld(WorldConfig{WebMDUsers: 500, HBUsers: 500, Seed: 101})
 	split := SplitClosedWorld(w.WebMD, 0.5, 102)
 	// MaxBigrams 300 keeps the stylometric attribute sets dense — the
-	// regime where the per-query weight tables carry the batched win.
+	// regime where the attribute term dominates the pair cost.
 	anonS, auxS := features.BuildPair(split.Anon, split.Aux, 300, features.Options{})
 	cfg := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 10}
 	p := core.NewPipelineFromStore(anonS, auxS, cfg)
@@ -1219,9 +1219,8 @@ func BenchmarkScoreKernelBatch(b *testing.B) {
 	if qps["queryuser-sequential"] > 0 {
 		querySpeedup = qps["querybatch-q8"] / qps["queryuser-sequential"]
 	}
-	// The batched win is arithmetic-intensity and cache reuse — the dense
-	// weight tables amortize over every auxiliary row and each hot block
-	// feeds Q queries — not parallelism: everything here runs one worker
+	// The batched win is cache reuse — each hot block feeds Q queries —
+	// not parallelism: everything here runs one worker
 	// on one goroutine, so the artifact reads the same on any core count.
 	summary := map[string]any{
 		"benchmark":      "score-kernel-batch",

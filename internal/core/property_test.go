@@ -123,14 +123,7 @@ func TestTopCandidatesProperty(t *testing.T) {
 	f := func(seed int64, ties bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(30)
-		row := make([]float64, n)
-		for i := range row {
-			if ties {
-				row[i] = float64(rng.Intn(3))
-			} else {
-				row[i] = rng.NormFloat64()
-			}
-		}
+		row := randomRow(rng, n, ties)
 		k := 1 + rng.Intn(n)
 		cs := shard.SelectTopK(row, k)
 		idx := make([]int, n)
@@ -154,6 +147,73 @@ func TestTopCandidatesProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// randomRow draws a score row of n entries: continuous scores, or, when
+// ties is set, tie-heavy ones (three distinct values), where only the id
+// tie-break decides membership and order.
+func randomRow(rng *rand.Rand, n int, ties bool) []float64 {
+	row := make([]float64, n)
+	for i := range row {
+		if ties {
+			row[i] = float64(rng.Intn(3))
+		} else {
+			row[i] = rng.NormFloat64()
+		}
+	}
+	return row
+}
+
+// Property: shard.MergeTopK of per-window top-k lists is the global top-k
+// (shard.SelectTopK of the whole row), and it is a set merge — shuffling
+// the parts, re-merging the merged list, merging it with itself, or
+// merging every part twice gives the same list. Rows are drawn with
+// randomRow, tie-heavy half the time; windows may be empty.
+func TestMergeTopKProperty(t *testing.T) {
+	same := func(a, b []shard.Candidate) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64, ties bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		row := randomRow(rng, n, ties)
+		k := 1 + rng.Intn(n+2) // k past n clamps
+		cuts := []int{0, n}
+		for i := rng.Intn(5); i > 0; i-- {
+			cuts = append(cuts, rng.Intn(n+1))
+		}
+		sort.Ints(cuts)
+		var parts [][]shard.Candidate
+		for i := 1; i < len(cuts); i++ {
+			lo, hi := cuts[i-1], cuts[i]
+			part := shard.SelectTopK(row[lo:hi], k)
+			for j := range part {
+				part[j].User += lo // window-local id to global, as the router does
+			}
+			parts = append(parts, part)
+		}
+		want := shard.SelectTopK(row, k)
+		got := shard.MergeTopK(parts, k)
+		if !same(got, want) {
+			return false
+		}
+		rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+		return same(shard.MergeTopK(parts, k), want) &&
+			same(shard.MergeTopK([][]shard.Candidate{got}, k), want) &&
+			same(shard.MergeTopK([][]shard.Candidate{got, got}, k), want) &&
+			same(shard.MergeTopK(append(parts, parts...), k), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"dehealth/internal/serve"
 	"dehealth/internal/shard"
 )
 
@@ -59,7 +60,9 @@ type errorWire struct {
 //	GET  /healthz                                -> 200 "ok" / 503 "degraded" (a shard has no healthy replica)
 //
 // Queries that no shard can answer get 503 with the error body; partial
-// degradation is a 200 with the report fields set.
+// degradation is a 200 with the report fields set. Request bodies past
+// serve.MaxBodyBytes get 413 and batches past serve.MaxBatchUsers get 400,
+// the bounds the shard servers enforce.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", r.handleQuery)
@@ -81,8 +84,7 @@ func (r *Router) Handler() http.Handler {
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	var q queryWire
-	if err := json.NewDecoder(req.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid query body: " + err.Error()})
+	if !serve.DecodeBody(w, req, "query body", &q) {
 		return
 	}
 	res, err := r.QueryUser(req.Context(), q.User, q.K, q.Approx)
@@ -98,8 +100,11 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	var q batchWire
-	if err := json.NewDecoder(req.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid batch body: " + err.Error()})
+	if !serve.DecodeBody(w, req, "batch body", &q) {
+		return
+	}
+	if len(q.Users) > serve.MaxBatchUsers {
+		writeJSON(w, http.StatusBadRequest, errorWire{Error: fmt.Sprintf("batch of %d users exceeds the limit of %d", len(q.Users), serve.MaxBatchUsers)})
 		return
 	}
 	if len(q.Users) == 0 {

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -390,7 +391,7 @@ func (r *Router) post(ctx context.Context, sc *shardClient, rep *replica, q *ser
 		return nil, fmt.Errorf("router: replica %s replied %d: %s", rep.base, resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
 	var reply serve.InternalQueryReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, replyLimit(q))).Decode(&reply); err != nil {
 		return nil, fmt.Errorf("router: replica %s reply: %w", rep.base, err)
 	}
 	if reply.Shard != sc.id {
@@ -408,6 +409,23 @@ func (r *Router) post(ctx context.Context, sc *shardClient, rep *replica, q *ser
 		out[i] = row
 	}
 	return out, nil
+}
+
+// wireCandidateBytes bounds the JSON size of one candidate in a shard
+// reply: {"user":<int64>,"score":<float64>} plus its separator.
+const wireCandidateBytes = 64
+
+// replyLimit bounds the bytes post decodes from a shard's reply to q:
+// serve.MaxBodyBytes of headroom plus wireCandidateBytes for each of the
+// K candidates per user the reply may carry. A longer reply fails the
+// attempt like a malformed one, so a broken replica cannot make the
+// router buffer an unbounded body.
+func replyLimit(q *serve.InternalQuery) int64 {
+	per := int64(len(q.Users)) * wireCandidateBytes
+	if per > 0 && int64(q.K) > (math.MaxInt64-serve.MaxBodyBytes)/per {
+		return math.MaxInt64
+	}
+	return serve.MaxBodyBytes + per*int64(max(q.K, 0))
 }
 
 // probeLoop is the background health prober: every HealthInterval it asks

@@ -131,6 +131,7 @@ const (
 	modeDrop     flakyMode = "drop"     // accept, then slam the connection
 	modeDelay    flakyMode = "delay"    // stall before forwarding
 	modeTruncate flakyMode = "truncate" // forward, return half the body
+	modeOversize flakyMode = "oversize" // forward, pad the body past the router's reply limit
 )
 
 func newFlakyShard(t *testing.T, target string, mode flakyMode, delay time.Duration) *flakyShard {
@@ -175,14 +176,16 @@ func (f *flakyShard) handle(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			f.canceled.Add(1)
 		}
-	case modeTruncate:
+	case modeTruncate, modeOversize:
 		f.forward(w, r, body, true)
 	default:
 		f.forward(w, r, body, false)
 	}
 }
 
-func (f *flakyShard) forward(w http.ResponseWriter, r *http.Request, body []byte, truncate bool) {
+// forward proxies the request to the target; mangle applies the current
+// failure mode to the reply body.
+func (f *flakyShard) forward(w http.ResponseWriter, r *http.Request, body []byte, mangle bool) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, f.target+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -201,8 +204,14 @@ func (f *flakyShard) forward(w http.ResponseWriter, r *http.Request, body []byte
 		return
 	}
 	f.forwarded.Add(1)
-	if truncate {
+	switch {
+	case mangle && f.currentMode() == modeTruncate:
 		reply = reply[:len(reply)/2]
+	case mangle && f.currentMode() == modeOversize && len(reply) > 0 && reply[0] == '{':
+		// Still valid JSON: only the size limit can reject it. The pad
+		// outgrows the limit's per-candidate headroom for any test query.
+		pad := `{"pad": "` + strings.Repeat("x", serve.MaxBodyBytes+1<<20) + `", `
+		reply = append([]byte(pad), reply[1:]...)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(resp.StatusCode)
@@ -317,6 +326,70 @@ func TestRouterTruncateFailover(t *testing.T) {
 	}
 	if st := r.Stats(); st.Retries < 1 {
 		t.Fatalf("retries = %d, want >= 1", st.Retries)
+	}
+}
+
+// TestRouterOversizedReplyFailover: a replica whose reply runs past the
+// router's reply limit fails the attempt like a malformed reply — the
+// retry lands on the healthy replica and the answer is whole.
+func TestRouterOversizedReplyFailover(t *testing.T) {
+	urls, total := twoShards(t)
+	bad := newFlakyShard(t, urls[0], modeOversize, 0)
+	r := newRouter(t, Config{Shards: [][]string{{bad.URL(), urls[0]}, {urls[1]}}, Retries: 2})
+	res, err := r.QueryUser(context.Background(), 5, 4, false)
+	if err != nil {
+		t.Fatalf("QueryUser: %v", err)
+	}
+	sameCandidates(t, "oversize failover", expectTopK(5, 4, total), res.Candidates)
+	if bad.forwarded.Load() < 1 {
+		t.Fatal("oversizing proxy never forwarded — mode not exercised")
+	}
+	st := r.Stats()
+	if st.Retries < 1 {
+		t.Fatalf("retries = %d, want >= 1", st.Retries)
+	}
+	if rep := st.Shards[0].Replicas[0]; rep.Healthy {
+		t.Fatalf("oversizing replica %s still marked healthy", rep.URL)
+	}
+}
+
+// TestRouterRequestBounds checks each public-API limit: bodies past
+// serve.MaxBodyBytes get 413 on /v1/query and /v1/batch, and a batch past
+// serve.MaxBatchUsers gets 400 — all before any shard is asked.
+func TestRouterRequestBounds(t *testing.T) {
+	urls, _ := twoShards(t)
+	proxies := []*flakyShard{newFlakyShard(t, urls[0], modePass, 0), newFlakyShard(t, urls[1], modePass, 0)}
+	r := newRouter(t, Config{Shards: [][]string{{proxies[0].URL()}, {proxies[1].URL()}}})
+	h := r.Handler()
+
+	pad := strings.Repeat("x", serve.MaxBodyBytes)
+	long := strings.TrimSuffix(strings.Repeat("0,", serve.MaxBatchUsers+1), ",")
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"oversized query", "/v1/query", `{"user": 1, "pad": "` + pad + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized batch", "/v1/batch", `{"users": [1], "pad": "` + pad + `"}`, http.StatusRequestEntityTooLarge},
+		{"over-long batch", "/v1/batch", `{"users": [` + long + `]}`, http.StatusBadRequest},
+		{"malformed query", "/v1/query", `{"user": `, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Fatalf("%s: status %d, want %d (%.200s)", tc.name, rec.Code, tc.want, rec.Body.String())
+		}
+	}
+	for i, p := range proxies {
+		if n := p.forwarded.Load(); n != 0 {
+			t.Fatalf("rejected requests reached shard %d %d times", i, n)
+		}
+	}
+
+	// An in-bounds batch is still answered.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(`{"users": [1, 2], "k": 3}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("in-bounds batch: status %d (%s)", rec.Code, rec.Body.String())
 	}
 }
 

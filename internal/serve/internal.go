@@ -111,11 +111,11 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 // traffic), then rebases candidate ids to global at the wire boundary.
 func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 	var q InternalQuery
-	if !decodeBody(w, r, "internal query body", &q) {
+	if !DecodeBody(w, r, "internal query body", &q) {
 		return
 	}
-	if len(q.Users) > maxBatchUsers {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: fmt.Sprintf("internal query of %d users exceeds the limit of %d", len(q.Users), maxBatchUsers)})
+	if len(q.Users) > MaxBatchUsers {
+		writeJSON(w, http.StatusBadRequest, errorWire{Error: fmt.Sprintf("internal query of %d users exceeds the limit of %d", len(q.Users), MaxBatchUsers)})
 		return
 	}
 	res, err := s.submit(&request{bquery: &q, done: make(chan result, 1)}, r.Context().Done())

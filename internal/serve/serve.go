@@ -659,21 +659,23 @@ func (s *Server) Handler() http.Handler {
 
 // Request bounds of the serve path: far above anything a real client
 // sends, yet low enough that one request cannot make the server buffer an
-// unbounded body or hand the kernel an unbounded batch.
+// unbounded body or hand the kernel an unbounded batch. The router's
+// public API enforces the same two bounds.
 const (
-	// maxBodyBytes caps the body of /v1/query, /v1/ingest and
+	// MaxBodyBytes caps the body of /v1/query, /v1/ingest and
 	// /internal/query; a larger body gets 413.
-	maxBodyBytes = 8 << 20
-	// maxBatchUsers caps the accounts of one /v1/ingest array and the
+	MaxBodyBytes = 8 << 20
+	// MaxBatchUsers caps the accounts of one /v1/ingest array and the
 	// users of one /internal/query; a longer batch gets 400.
-	maxBatchUsers = 1 << 16
+	MaxBatchUsers = 1 << 16
 )
 
-// decodeBody decodes the size-capped JSON body of r into v. On failure it
-// answers 413 for an oversized body or 400 for a malformed one, naming
-// the body as what, and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+// DecodeBody decodes the JSON body of r, capped at MaxBodyBytes, into v.
+// On failure it answers 413 for an oversized body or 400 for a malformed
+// one with an {"error": ...} body naming the body as what, and returns
+// false. The router decodes its public requests through it too.
+func DecodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
 	if err == nil {
 		return true
 	}
@@ -688,7 +690,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q queryWire
-	if !decodeBody(w, r, "query body", &q) {
+	if !DecodeBody(w, r, "query body", &q) {
 		return
 	}
 	res, err := s.submit(&request{query: &q, done: make(chan result, 1)}, r.Context().Done())
@@ -709,7 +711,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var raw json.RawMessage
-	if !decodeBody(w, r, "ingest body", &raw) {
+	if !DecodeBody(w, r, "ingest body", &raw) {
 		return
 	}
 	// A JSON array is a batched ingest; a single object remains accepted
@@ -735,8 +737,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ingestBatchReplyWire{Users: []int{}})
 		return
 	}
-	if len(ins) > maxBatchUsers {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: fmt.Sprintf("ingest batch of %d accounts exceeds the limit of %d", len(ins), maxBatchUsers)})
+	if len(ins) > MaxBatchUsers {
+		writeJSON(w, http.StatusBadRequest, errorWire{Error: fmt.Sprintf("ingest batch of %d accounts exceeds the limit of %d", len(ins), MaxBatchUsers)})
 		return
 	}
 

@@ -438,8 +438,8 @@ func TestIngestBatchFailureIsolation(t *testing.T) {
 }
 
 // TestRequestBounds checks each serve-path limit: bodies past
-// maxBodyBytes get 413 on /v1/query, /v1/ingest and /internal/query, and
-// batches past maxBatchUsers get 400 on /v1/ingest and /internal/query —
+// MaxBodyBytes get 413 on /v1/query, /v1/ingest and /internal/query, and
+// batches past MaxBatchUsers get 400 on /v1/ingest and /internal/query —
 // all before anything reaches the backend.
 func TestRequestBounds(t *testing.T) {
 	b := &batchSpyBackend{testBackend: newTestBackend(t, 10, 97)}
@@ -448,9 +448,9 @@ func TestRequestBounds(t *testing.T) {
 	defer s.Close()
 	h := s.Handler()
 
-	pad := strings.Repeat("x", maxBodyBytes)
+	pad := strings.Repeat("x", MaxBodyBytes)
 	long := func(item string) string {
-		return strings.TrimSuffix(strings.Repeat(item+",", maxBatchUsers+1), ",")
+		return strings.TrimSuffix(strings.Repeat(item+",", MaxBatchUsers+1), ",")
 	}
 	for _, tc := range []struct {
 		name, path, body string
@@ -846,7 +846,7 @@ func TestFlushQueryAllocs(t *testing.T) {
 	})
 	// Per flush: q result sets of k candidates plus heap/sort bookkeeping,
 	// independent of |aux|. A regression to per-flush kernel scratch (Q
-	// profiles, tables, block buffers) or per-query aux scans would blow
+	// profiles, block buffers) or per-query aux scans would blow
 	// far past this.
 	if max := float64(8*q + 16); allocs > max {
 		t.Fatalf("flush allocates %v times for %d queries, want <= %v", allocs, q, max)

@@ -4,8 +4,8 @@
 // prepares Q query profiles at once (similarity.BatchProfile) and drains Q
 // bounded heaps from one blocked walk of the shard — each 512-row block is
 // scored against every query while it is hot in cache, and the batch
-// amortizes the per-query preparation (dense attribute tables) the batched
-// kernel's cheap merge depends on. Results are bit-identical to Q
+// amortizes the per-query preparation (one PrepareQuery per user) over the
+// whole walk. Results are bit-identical to Q
 // independent TopK calls: per query, scores arrive in the same ascending
 // row order, so the heap passes through identical states, and the final
 // sort is under the same total order. The per-batch scratch (profiles,
@@ -25,8 +25,9 @@ import (
 // maxBatchQ caps how many queries one TopKBatch kernel pass scores
 // together. A serving flush's batch (Config.MaxBatch) maps onto kernel
 // batches of up to this width; wider batches would grow the per-batch
-// scratch (Q dense attribute tables + Q block buffers) past what stays
-// cache-resident, past the point where the blocked scan's reuse pays.
+// scratch (Q block buffers, plus the Q queries' attribute bit planes the
+// kernel reads per row) past what stays cache-resident, past the point
+// where the blocked scan's reuse pays.
 const maxBatchQ = 64
 
 // batchScratch is the pooled per-call state of TopKBatch: the prepared

@@ -97,7 +97,7 @@ func TestTopKBatchAllocs(t *testing.T) {
 	})
 	// Result slices: 1 outer + q inner + q sorted copies; sortCandidates'
 	// sort.Slice adds a bounded per-call overhead. Anything scaling with
-	// the scan (per-block buffers, profiles, tables) would blow past this.
+	// the scan (per-block buffers, profiles) would blow past this.
 	if max := float64(4*q + 4); allocs > max {
 		t.Fatalf("TopKBatch allocates %v times per batch, want <= %v", allocs, max)
 	}

@@ -358,8 +358,11 @@ func (w *World) queryInline(u, k int) []Candidate {
 // MergeTopK merges per-shard top-k lists into the global top-k under the
 // global selection order (score descending, id ascending). Exact: every
 // global top-k candidate appears in its own shard's top-k, so sorting the
-// union and truncating loses nothing. Exported as the single merge-order
-// source for out-of-process scatter-gather: the distributed router merges
+// union and truncating loses nothing. The merge is a set union: a
+// candidate present in several parts (same user, same score) is kept
+// once, so the part order, re-merging a merged list and merging a list
+// with itself change nothing. Exported as the single merge-order source
+// for out-of-process scatter-gather: the distributed router merges
 // shard-server replies through this exact function, which is what makes
 // its results bit-identical to the in-process fan-out.
 func MergeTopK(parts [][]Candidate, k int) []Candidate {
@@ -371,10 +374,15 @@ func MergeTopK(parts [][]Candidate, k int) []Candidate {
 	for _, p := range parts {
 		all = append(all, p...)
 	}
-	sort.Slice(all, func(a, b int) bool { return better(all[a], all[b]) })
-	if k > len(all) {
-		k = len(all)
+	sortCandidates(all)
+	n := 0
+	for _, c := range all {
+		if n == 0 || all[n-1] != c { // equal candidates are adjacent once sorted
+			all[n] = c
+			n++
+		}
 	}
+	k = max(min(k, n), 0)
 	return all[:k:k]
 }
 

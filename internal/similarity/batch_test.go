@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"dehealth/internal/stylometry"
+	"dehealth/internal/graph"
 	"dehealth/internal/synth"
 )
 
@@ -12,44 +12,52 @@ import (
 // guarantee: on randomized synthetic worlds, ScoreRangeBatch must equal the
 // retained naive reference ScoreSlow exactly — not approximately — for
 // every (query, aux) pair, across mixed batch widths (including Q=1 and a
-// batch wider than the query population wraps around) and several
-// similarity configurations.
+// batch wider than the query population wraps around), several similarity
+// configurations and the attribute sets of every variant in attrWorlds.
 func TestScoreRangeBatchParityRandomWorlds(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		g1 := synth.SparseAttrUDA(40, 8, 200, seed)
-		g2 := synth.SparseAttrUDA(55, 8, 200, seed+100)
-		for _, cfg := range []Config{
-			{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5},
-			{C1: 1, C2: 0, C3: 0, Landmarks: 3},
-			{C1: 0.3, C2: 0.3, C3: 0.4, Landmarks: 7},
-		} {
-			s := NewScorer(g1, g2, cfg)
-			n1, n2 := g1.NumNodes(), g2.NumNodes()
-			rng := rand.New(rand.NewSource(seed * 13))
-			var b BatchProfile
-			for _, q := range []int{1, 3, 8, 17} {
-				users := make([]int, q)
-				for i := range users {
-					users[i] = rng.Intn(n1)
+		for _, attrW := range attrWorlds {
+			g1 := synth.SparseAttrUDA(40, 8, 200, seed)
+			g2 := synth.SparseAttrUDA(55, 8, 200, seed+100)
+			name := withEdgeAttrs(g1, g2, attrW, seed)
+			batchParity(t, name, seed, g1, g2)
+		}
+	}
+}
+
+func batchParity(t *testing.T, name string, seed int64, g1, g2 *graph.UDA) {
+	t.Helper()
+	for _, cfg := range []Config{
+		{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5},
+		{C1: 1, C2: 0, C3: 0, Landmarks: 3},
+		{C1: 0.3, C2: 0.3, C3: 0.4, Landmarks: 7},
+	} {
+		s := NewScorer(g1, g2, cfg)
+		n1, n2 := g1.NumNodes(), g2.NumNodes()
+		rng := rand.New(rand.NewSource(seed * 13))
+		var b BatchProfile
+		for _, q := range []int{1, 3, 8, 17} {
+			users := make([]int, q)
+			for i := range users {
+				users[i] = rng.Intn(n1)
+			}
+			out := make([][]float64, q)
+			for i := range out {
+				out[i] = make([]float64, n2)
+			}
+			s.PrepareBatch(users, &b)
+			if b.Len() != q {
+				t.Fatalf("BatchProfile.Len() = %d, want %d", b.Len(), q)
+			}
+			s.ScoreRangeBatch(&b, 0, n2, out)
+			for i, u := range users {
+				if b.User(i) != u {
+					t.Fatalf("BatchProfile.User(%d) = %d, want %d", i, b.User(i), u)
 				}
-				out := make([][]float64, q)
-				for i := range out {
-					out[i] = make([]float64, n2)
-				}
-				s.PrepareBatch(users, &b)
-				if b.Len() != q {
-					t.Fatalf("BatchProfile.Len() = %d, want %d", b.Len(), q)
-				}
-				s.ScoreRangeBatch(&b, 0, n2, out)
-				for i, u := range users {
-					if b.User(i) != u {
-						t.Fatalf("BatchProfile.User(%d) = %d, want %d", i, b.User(i), u)
-					}
-					for v := 0; v < n2; v++ {
-						if want := s.ScoreSlow(u, v); out[i][v] != want {
-							t.Fatalf("seed %d cfg %+v Q=%d: batch[%d][%d] = %v, ScoreSlow = %v",
-								seed, cfg, q, i, v, out[i][v], want)
-						}
+				for v := 0; v < n2; v++ {
+					if want := s.ScoreSlow(u, v); out[i][v] != want {
+						t.Fatalf("%s seed %d cfg %+v Q=%d: batch[%d][%d] = %v, ScoreSlow = %v",
+							name, seed, cfg, q, i, v, out[i][v], want)
 					}
 				}
 			}
@@ -58,29 +66,33 @@ func TestScoreRangeBatchParityRandomWorlds(t *testing.T) {
 }
 
 // TestScoreRangeBatchWindowParity checks the batched kernel through a shard
-// window against the base scorer on the window's global range, over
-// sub-ranges that exercise nonzero lo (the blocked scan shape).
+// window starting mid-array against the base scorer on the window's global
+// range, over sub-ranges that exercise nonzero lo (the blocked scan shape),
+// for every attribute variant in attrWorlds.
 func TestScoreRangeBatchWindowParity(t *testing.T) {
-	g1 := synth.SparseAttrUDA(20, 5, 120, 21)
-	g2 := synth.SparseAttrUDA(33, 5, 120, 22)
-	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4})
-	lo, hi := 7, 29
-	w := s.Shard(g2.InducedRange(lo, hi), lo, hi)
-	users := []int{0, 5, 11, 3, 0, 19}
-	var b BatchProfile
-	w.PrepareBatch(users, &b)
-	for _, blk := range [][2]int{{0, hi - lo}, {3, 17}, {17, hi - lo}} {
-		n := blk[1] - blk[0]
-		out := make([][]float64, len(users))
-		for i := range out {
-			out[i] = make([]float64, n)
-		}
-		w.ScoreRangeBatch(&b, blk[0], blk[1], out)
-		for i, u := range users {
-			for j := 0; j < n; j++ {
-				if want := s.Score(u, lo+blk[0]+j); out[i][j] != want {
-					t.Fatalf("window batch [%d,%d): q=%d j=%d = %v, base Score = %v",
-						blk[0], blk[1], i, j, out[i][j], want)
+	for _, attrW := range attrWorlds {
+		g1 := synth.SparseAttrUDA(20, 5, 120, 21)
+		g2 := synth.SparseAttrUDA(33, 5, 120, 22)
+		name := withEdgeAttrs(g1, g2, attrW, 21)
+		s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4})
+		lo, hi := 7, 29
+		w := s.Shard(g2.InducedRange(lo, hi), lo, hi)
+		users := []int{0, 5, 11, 3, 0, 19, 1, 6}
+		var b BatchProfile
+		w.PrepareBatch(users, &b)
+		for _, blk := range [][2]int{{0, hi - lo}, {3, 17}, {17, hi - lo}} {
+			n := blk[1] - blk[0]
+			out := make([][]float64, len(users))
+			for i := range out {
+				out[i] = make([]float64, n)
+			}
+			w.ScoreRangeBatch(&b, blk[0], blk[1], out)
+			for i, u := range users {
+				for j := 0; j < n; j++ {
+					if want := s.ScoreSlow(u, lo+blk[0]+j); out[i][j] != want {
+						t.Fatalf("%s: window batch [%d,%d): q=%d j=%d = %v, base ScoreSlow = %v",
+							name, blk[0], blk[1], i, j, out[i][j], want)
+					}
 				}
 			}
 		}
@@ -88,12 +100,20 @@ func TestScoreRangeBatchWindowParity(t *testing.T) {
 }
 
 // TestScoreRangeBatchAppended extends a world through AppendNode + SyncAnon
-// — the serving-path ingestion shape — and checks a batch mixing original
-// and appended query users scores bit-identically to ScoreSlow, on the
-// base scorer and through a shard window.
+// — the serving-path ingestion shape — with nodes holding weights above
+// attrLevels, and checks a batch mixing original and appended query users
+// scores bit-identically to ScoreSlow, on the base scorer and through a
+// shard window, for every attribute variant in attrWorlds.
 func TestScoreRangeBatchAppended(t *testing.T) {
-	g1 := synth.SparseAttrUDA(30, 6, 150, 9)
-	g2 := synth.SparseAttrUDA(30, 6, 150, 10)
+	for _, attrW := range attrWorlds {
+		g1 := synth.SparseAttrUDA(30, 6, 150, 9)
+		g2 := synth.SparseAttrUDA(30, 6, 150, 10)
+		batchParityAppended(t, withEdgeAttrs(g1, g2, attrW, 9), g1, g2)
+	}
+}
+
+func batchParityAppended(t *testing.T, name string, g1, g2 *graph.UDA) {
+	t.Helper()
 	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4})
 	lo, hi := 10, 25
 	w := s.Shard(g2.InducedRange(lo, hi), lo, hi)
@@ -101,8 +121,7 @@ func TestScoreRangeBatchAppended(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n0 := g1.NumNodes()
 	for i := 0; i < 3; i++ {
-		attrs := stylometry.AttrSet{Idx: []int{i, 50 + i}, Weight: []int{1 + i, 2}}
-		u := g1.AppendNode(attrs, [][]float64{{1}})
+		u := g1.AppendNode(heavyAppendAttrs(i), [][]float64{{1}})
 		for e := 0; e < 1+i; e++ {
 			g1.AddEdge(u, rng.Intn(n0), 1+float64(rng.Intn(3)))
 		}
@@ -111,7 +130,7 @@ func TestScoreRangeBatchAppended(t *testing.T) {
 		t.Fatalf("SyncAnon added %d, want 3", added)
 	}
 
-	users := []int{0, n0, 5, n0 + 1, n0 + 2} // mixed original + appended
+	users := []int{0, n0, 5, n0 + 1, n0 + 2, 1} // mixed original + appended
 	n2 := g2.NumNodes()
 	out := make([][]float64, len(users))
 	for i := range out {
@@ -123,7 +142,7 @@ func TestScoreRangeBatchAppended(t *testing.T) {
 	for i, u := range users {
 		for v := 0; v < n2; v++ {
 			if want := s.ScoreSlow(u, v); out[i][v] != want {
-				t.Fatalf("appended batch: q=%d(user %d) v=%d = %v, ScoreSlow = %v", i, u, v, out[i][v], want)
+				t.Fatalf("%s: appended batch: q=%d(user %d) v=%d = %v, ScoreSlow = %v", name, i, u, v, out[i][v], want)
 			}
 		}
 	}
@@ -138,7 +157,7 @@ func TestScoreRangeBatchAppended(t *testing.T) {
 	for i, u := range users {
 		for j := 0; j < hi-lo; j++ {
 			if want := s.ScoreSlow(u, lo+j); wout[i][j] != want {
-				t.Fatalf("appended window batch: q=%d(user %d) j=%d = %v, ScoreSlow = %v", i, u, j, wout[i][j], want)
+				t.Fatalf("%s: appended window batch: q=%d(user %d) j=%d = %v, ScoreSlow = %v", name, i, u, j, wout[i][j], want)
 			}
 		}
 	}

@@ -4,9 +4,10 @@
 // degree re-walked the adjacency list, and the two Jaccard terms merged
 // the attribute lists twice. This file is the query-prepared rewrite: a
 // QueryProfile captures the anonymized side once per query (degree,
-// weighted degree, attribute set + total weight, flat vector views and
-// precomputed norms), and ScoreWith / ScoreRange evaluate rows of the
-// similarity against the contiguous aux-side arrays with zero allocations.
+// weighted degree, attribute set size and total weight, views of its
+// attribute bit planes, flat vector views and precomputed norms), and
+// ScoreWith / ScoreRange evaluate rows of the similarity against the
+// contiguous aux-side arrays with zero allocations.
 //
 // Bit-identity with the retained naive reference (ScoreSlow) holds because
 // no floating-point operation changes order or operands:
@@ -15,14 +16,18 @@
 //     the same values; the norm factors are the same index-order sums,
 //     merely computed once (l2norm) instead of per pair — sqrt is exact on
 //     equal inputs, and dot/(na*nb) multiplies the same two float64s;
-//   - the fused attribute merge only reassociates *integer* arithmetic:
-//     |A∪B| = |A|+|B|−|A∩B| and Σmax(w) = ΣwA+ΣwB−Σmin(w) are exact, so
+//   - the attribute term only reorganises *integer* arithmetic: |A∩B| is
+//     the popcount of the level-1 planes' intersection, and Σmin(wa, wb)
+//     is the sum over weight levels t of |{ids with wa ≥ t and wb ≥ t}|,
+//     by the identity min(wa, wb) = Σₜ [wa ≥ t][wb ≥ t] (planes for
+//     t ≤ attrLevels, the residual merge above; see planes.go). With
+//     |A∪B| = |A|+|B|−|A∩B| and Σmax(w) = ΣwA+ΣwB−Σmin(w), also exact,
 //     the final float64 divisions see identical numerators/denominators;
 //   - the ratio terms read the same frozen degree values.
 //
 // The parity tests (kernel_test.go) and the inline assertion in
 // BenchmarkScoreKernel pin this equivalence on randomized worlds,
-// including nodes appended after SyncAnon.
+// including nodes appended after SyncAnon and weights above attrLevels.
 
 package similarity
 
@@ -38,6 +43,8 @@ type QueryProfile struct {
 	deg, wdeg  float64
 	attrs      stylometry.AttrSet
 	attrTotW   int
+	planes     []attrPlanes // dense bit planes over the aux attribute id space
+	heavy      []heavyAttr  // residual: attributes heavier than attrLevels
 	ncs        []float64
 	ncsNorm    float64
 	close, wcl []float64
@@ -52,8 +59,9 @@ func (p *QueryProfile) User() int { return p.u }
 // degree and weighted degree (read once per query instead of once per
 // pair, preserving the live-read semantics of the naive path — the graph
 // does not mutate during a query), the attribute set with its total
-// weight, and flat vector views with precomputed norms. p is caller-owned
-// so the hot path allocates nothing; reuse one profile per query.
+// weight and views of its bit planes, and flat vector views with
+// precomputed norms. p is caller-owned and every field is a view or a
+// scalar, so the hot path allocates nothing; reuse one profile per query.
 func (s *Scorer) PrepareQuery(u int, p *QueryProfile) {
 	c := s.c
 	p.u = u
@@ -61,6 +69,8 @@ func (s *Scorer) PrepareQuery(u int, p *QueryProfile) {
 	p.wdeg = s.g1.WeightedDegree(u)
 	p.attrs = s.g1.Attrs[u]
 	p.attrTotW = p.attrs.TotalWeight()
+	p.planes = c.planesVec(u)
+	p.heavy = c.heavyVec(u)
 	p.ncs = c.ncsVec(u)
 	p.ncsNorm = c.ncsNorm1[u]
 	p.close = c.closeVec(u)
@@ -71,7 +81,7 @@ func (s *Scorer) PrepareQuery(u int, p *QueryProfile) {
 
 // ScoreWith computes Score(p.User(), v) from the prepared profile — the
 // per-pair flat kernel: two ratio terms, three precomputed-norm cosines
-// and one fused attribute merge, all over dense frozen state. It is
+// and one bit-plane attribute overlap, all over dense frozen state. It is
 // bit-identical to Score and ScoreSlow.
 func (s *Scorer) ScoreWith(p *QueryProfile, v int) float64 {
 	ax := s.ax
@@ -80,8 +90,15 @@ func (s *Scorer) ScoreWith(p *QueryProfile, v int) float64 {
 	h := ax.hbar2
 	ds := cosinePre(p.close, p.closeNorm, ax.close[v*h:(v+1)*h], ax.closeNorm[v]) +
 		cosinePre(p.wcl, p.wclNorm, ax.wcl[v*h:(v+1)*h], ax.wclNorm[v])
-	a := attrSimFused(p.attrs, p.attrTotW, ax.attrs[v], ax.attrTotW[v])
-	return s.cfg.C1*d + s.cfg.C2*ds + s.cfg.C3*a
+	return s.cfg.C1*d + s.cfg.C2*ds + s.cfg.C3*s.attrSimWith(p, v)
+}
+
+// attrSimWith is s^a of the prepared query against aux row v, from the
+// bit planes (planes.go).
+func (s *Scorer) attrSimWith(p *QueryProfile, v int) float64 {
+	ax := s.ax
+	inter, winter := attrOverlap(p.planes, p.heavy, ax.wordsVec(v), ax.heavyVec(v))
+	return attrSimCounts(len(p.attrs.Idx), p.attrTotW, len(ax.attrs[v].Idx), ax.attrTotW[v], inter, winter)
 }
 
 // ScoreRange evaluates the row slice Score(p.User(), v) for v in [lo, hi)
@@ -112,42 +129,6 @@ func cosinePre(a []float64, na float64, b []float64, nb float64) float64 {
 		dot += a[i] * b[i]
 	}
 	return dot / (na * nb)
-}
-
-// attrSimFused computes Jaccard + WeightedJaccard in one merge pass over
-// the sorted attribute lists. The intersection yields both |A∩B| and
-// Σmin(w) directly; the unions come from the precomputed totals
-// (|A|+|B|−|A∩B| and ΣwA+ΣwB−Σmin(w)) — integer identities, so the two
-// quotients match the naive two-pass computation exactly.
-func attrSimFused(a stylometry.AttrSet, atot int, b stylometry.AttrSet, btot int) float64 {
-	ai, bi := a.Idx, b.Idx
-	var inter, winter int
-	i, j := 0, 0
-	for i < len(ai) && j < len(bi) {
-		switch {
-		case ai[i] == bi[j]:
-			inter++
-			w := a.Weight[i]
-			if bw := b.Weight[j]; bw < w {
-				w = bw
-			}
-			winter += w
-			i++
-			j++
-		case ai[i] < bi[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	var sim float64
-	if union := len(ai) + len(bi) - inter; union > 0 {
-		sim = float64(inter) / float64(union)
-	}
-	if wunion := atot + btot - winter; wunion > 0 {
-		sim += float64(winter) / float64(wunion)
-	}
-	return sim
 }
 
 // ScoreSlow is the retained naive reference kernel: the pre-flat-layout

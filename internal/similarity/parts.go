@@ -3,9 +3,8 @@
 // parts without re-running the NCS/landmark precomputation — the
 // warm-restart path. The parity contract holds because every float the
 // scoring kernel reads is carried through Parts verbatim; only
-// integer-derived auxiliary state (attribute total weights, the dense
-// table width) is recomputed, by the same exact-integer arithmetic as
-// NewScorer.
+// integer-derived attribute state (total weights, bit planes) is
+// recomputed, by the same exact-integer arithmetic as NewScorer.
 
 package similarity
 
@@ -18,7 +17,10 @@ import (
 // Parts is the serializable precomputed state of a base scorer: the
 // anonymized-side SoA caches and the full auxiliary window, in the flat
 // layouts the kernel walks. Slices are the scorer's own backing arrays —
-// treat them as read-only.
+// treat them as read-only. The attribute bit planes of both sides are not
+// parts: like the attribute total weights (attrTotW) they are exact
+// integer functions of the graphs' attribute sets, re-derived by
+// NewScorerFromParts, so they need no snapshot format change.
 type Parts struct {
 	// Anonymized side (scorerCaches). Hbar1 is len(Landmarks).
 	Landmarks []int
@@ -31,7 +33,7 @@ type Parts struct {
 	WclNorm   []float64
 
 	// Auxiliary side (auxWindow), minus what NewScorerFromParts re-derives
-	// from the graph's attribute sets (attrs, attrTotW, attrW).
+	// from the graph's attribute sets (attrs, attrTotW, the bit planes).
 	Hbar2        int
 	AuxDeg       []float64
 	AuxWdeg      []float64
@@ -77,10 +79,11 @@ func (s *Scorer) Parts() Parts {
 // NewScorerFromParts rebuilds a base scorer over g1 and g2 from saved
 // parts, adopting the part slices as its caches (no copies: callers
 // restoring from a read-only mapping rely on the arrays being read-only in
-// operation — SyncAnon appends, which reallocates). The auxiliary
-// attribute state is re-derived from g2.Attrs exactly as NewScorer derives
-// it. Every part is validated against the graphs' dimensions; a mismatch
-// returns an error rather than a scorer that would index out of bounds.
+// operation — SyncAnon appends, which reallocates). The attribute state of
+// both sides (total weights, bit planes) is re-derived from g1.Attrs and
+// g2.Attrs exactly as NewScorer derives it. Every part is validated
+// against the graphs' dimensions; a mismatch returns an error rather than
+// a scorer that would index out of bounds.
 func NewScorerFromParts(g1, g2 *graph.UDA, cfg Config, p Parts) (*Scorer, error) {
 	n1, n2 := g1.NumNodes(), g2.NumNodes()
 	hbar1 := len(p.Landmarks)
@@ -116,6 +119,9 @@ func NewScorerFromParts(g1, g2 *graph.UDA, cfg Config, p Parts) (*Scorer, error)
 	if len(g2.Attrs) != n2 {
 		return nil, fmt.Errorf("similarity: auxiliary graph has %d attribute sets for %d nodes", len(g2.Attrs), n2)
 	}
+	if len(g1.Attrs) != n1 {
+		return nil, fmt.Errorf("similarity: anonymized graph has %d attribute sets for %d nodes", len(g1.Attrs), n1)
+	}
 
 	c := &scorerCaches{
 		landmarks1: p.Landmarks,
@@ -131,8 +137,6 @@ func NewScorerFromParts(g1, g2 *graph.UDA, cfg Config, p Parts) (*Scorer, error)
 	ax := &auxWindow{
 		deg:       p.AuxDeg,
 		wdeg:      p.AuxWdeg,
-		attrs:     g2.Attrs,
-		attrTotW:  make([]int, n2),
 		hbar2:     p.Hbar2,
 		ncs:       p.AuxNCS,
 		ncsOff:    p.AuxNCSOff,
@@ -142,12 +146,8 @@ func NewScorerFromParts(g1, g2 *graph.UDA, cfg Config, p Parts) (*Scorer, error)
 		wcl:       p.AuxWcl,
 		wclNorm:   p.AuxWclNorm,
 	}
-	for v := 0; v < n2; v++ {
-		ax.attrTotW[v] = g2.Attrs[v].TotalWeight()
-		if n := g2.Attrs[v].Len(); n > 0 && g2.Attrs[v].Idx[n-1]+1 > ax.attrW {
-			ax.attrW = g2.Attrs[v].Idx[n-1] + 1
-		}
-	}
+	c.attrWords = ax.setAttrs(g2.Attrs)
+	c.appendAttrs(g1.Attrs)
 	return &Scorer{cfg: cfg, g1: g1, g2: g2, c: c, ax: ax}, nil
 }
 

@@ -12,10 +12,18 @@
 // The scoring hot path is a flat kernel (see kernel.go): all per-node
 // vectors live in contiguous row-major matrices with their L2 norms
 // precomputed, a query prepares its anonymized-side state once
-// (PrepareQuery), and per-pair work reduces to dot products and one fused
-// attribute merge over dense precomputed state — bit-identical to the
-// retained naive reference (ScoreSlow), per the parity contract in
-// docs/ARCHITECTURE.md.
+// (PrepareQuery), and per-pair work reduces to dot products and popcounts
+// over the attribute sets' weight-level bit planes (see planes.go).
+//
+// Every kernel is bit-identical to the retained naive reference
+// (ScoreSlow), per the parity contract in docs/ARCHITECTURE.md. The float
+// operations of each pair are ScoreSlow's, in its order, over the same
+// values. The attribute term's only change is how two integers are
+// counted: |A∩B| is the popcount of the level-1 planes' intersection, and
+// Σmin(wa, wb) follows from the identity min(wa, wb) = Σₜ [wa ≥ t][wb ≥ t]
+// — planes for t up to attrLevels, a residual merge above it. Integer
+// sums are exact, so the final divisions see ScoreSlow's numerators and
+// denominators.
 package similarity
 
 import (
@@ -83,6 +91,16 @@ type scorerCaches struct {
 	// row-major: node u's row is close1[u*hbar1 : (u+1)*hbar1].
 	close1, wcl1         []float64
 	closeNorm1, wclNorm1 []float64
+
+	// Attribute bit planes (planes.go), dense: node u's planes are
+	// planes1[u*attrWords : (u+1)*attrWords] and its residual list is
+	// heavy1[heavyOff1[u]:heavyOff1[u+1]]. attrWords spans the auxiliary
+	// attribute id space, fixed at construction: query attributes beyond
+	// it cannot meet any auxiliary set.
+	attrWords int
+	planes1   []attrPlanes
+	heavy1    []heavyAttr
+	heavyOff1 []int
 }
 
 // numAnon returns the number of anonymized nodes the caches cover.
@@ -97,28 +115,35 @@ func (c *scorerCaches) closeVec(u int) []float64 {
 func (c *scorerCaches) wclVec(u int) []float64 {
 	return c.wcl1[u*c.hbar1 : (u+1)*c.hbar1]
 }
+func (c *scorerCaches) planesVec(u int) []attrPlanes {
+	return c.planes1[u*c.attrWords : (u+1)*c.attrWords]
+}
+func (c *scorerCaches) heavyVec(u int) []heavyAttr {
+	return c.heavy1[c.heavyOff1[u]:c.heavyOff1[u+1]]
+}
 
 // auxWindow is the auxiliary-side scoring state: per-node degree,
-// weighted degree, attribute set (plus its precomputed total weight), NCS
-// and landmark-closeness vectors in the same flat layouts as the anonymized
-// caches, frozen at construction from the full auxiliary graph (global
-// landmarks, global degrees). A base scorer holds the full window; shard
-// scorers hold contiguous slice views of the same arrays — the NCS flat
-// array is shared whole, with the window's offset slice still holding
-// absolute positions into it — so the values a shard scores against are
-// exactly the global ones: the property the sharded/unsharded parity
-// guarantee rests on.
+// weighted degree, attribute set (plus its precomputed total weight and
+// its bit planes), NCS and landmark-closeness vectors in the same flat
+// layouts as the anonymized caches, frozen at construction from the full
+// auxiliary graph (global landmarks, global degrees). A base scorer holds
+// the full window; shard scorers hold contiguous slice views of the same
+// arrays — the flat NCS, plane-word and residual arrays are shared whole,
+// with the window's offset slices still holding absolute positions into
+// them — so the values a shard scores against are exactly the global
+// ones: the property the sharded/unsharded parity guarantee rests on.
 type auxWindow struct {
 	deg, wdeg []float64
 	attrs     []stylometry.AttrSet
 	attrTotW  []int // attrTotW[v] = attrs[v].TotalWeight()
-	// attrW is 1 + the maximum attribute id across the FULL auxiliary side
-	// (not just this window): the width of the batched kernel's dense
-	// per-query weight tables. Sized globally so every window's lookups are
-	// in-bounds by construction; the aux side is immutable, so the bound
-	// never goes stale. Query-side attributes at or beyond attrW cannot
-	// appear in any auxiliary set and are simply never tabulated.
-	attrW int
+
+	// Attribute bit planes (planes.go), sparse: node v's stored words are
+	// words[wordOff[v]:wordOff[v+1]] and its residual list is
+	// heavy[heavyOff[v]:heavyOff[v+1]].
+	words    []auxWord   // full flat array (shared whole across windows)
+	wordOff  []int       // window slice, absolute offsets into words
+	heavy    []heavyAttr // full flat array (shared whole across windows)
+	heavyOff []int       // window slice, absolute offsets into heavy
 
 	hbar2   int       // aux-side landmark count: row stride of close/wcl
 	ncs     []float64 // full flat NCS array (shared whole across windows)
@@ -138,6 +163,12 @@ func (ax *auxWindow) closeVec(v int) []float64 {
 func (ax *auxWindow) wclVec(v int) []float64 {
 	return ax.wcl[v*ax.hbar2 : (v+1)*ax.hbar2]
 }
+func (ax *auxWindow) wordsVec(v int) []auxWord {
+	return ax.words[ax.wordOff[v]:ax.wordOff[v+1]]
+}
+func (ax *auxWindow) heavyVec(v int) []heavyAttr {
+	return ax.heavy[ax.heavyOff[v]:ax.heavyOff[v+1]]
+}
 
 // NewScorer builds a Scorer over the two UDA graphs.
 func NewScorer(g1, g2 *graph.UDA, cfg Config) *Scorer {
@@ -151,20 +182,16 @@ func NewScorer(g1, g2 *graph.UDA, cfg Config) *Scorer {
 	n2 := g2.NumNodes()
 	landmarks2 := g2.TopDegreeNodes(cfg.Landmarks)
 	ax := &auxWindow{
-		deg:      make([]float64, n2),
-		wdeg:     make([]float64, n2),
-		attrs:    g2.Attrs,
-		attrTotW: make([]int, n2),
-		hbar2:    len(landmarks2),
+		deg:   make([]float64, n2),
+		wdeg:  make([]float64, n2),
+		hbar2: len(landmarks2),
 	}
 	for v := 0; v < n2; v++ {
 		ax.deg[v] = float64(g2.Degree(v))
 		ax.wdeg[v] = g2.WeightedDegree(v)
-		ax.attrTotW[v] = g2.Attrs[v].TotalWeight()
-		if n := g2.Attrs[v].Len(); n > 0 && g2.Attrs[v].Idx[n-1]+1 > ax.attrW {
-			ax.attrW = g2.Attrs[v].Idx[n-1] + 1 // Idx is sorted: the last entry is the max
-		}
 	}
+	c.attrWords = ax.setAttrs(g2.Attrs)
+	c.appendAttrs(g1.Attrs)
 	ax.ncs, ax.ncsOff, ax.ncsNorm = flattenRagged(cacheNCS(g2))
 	hop2, w2 := landmarkCloseness(g2, landmarks2)
 	ax.close, ax.closeNorm = flattenFixed(hop2, ax.hbar2)
@@ -220,7 +247,10 @@ func (s *Scorer) Shard(sub *graph.UDA, lo, hi int) *Scorer {
 		wdeg:      s.ax.wdeg[lo:hi:hi],
 		attrs:     s.ax.attrs[lo:hi:hi],
 		attrTotW:  s.ax.attrTotW[lo:hi:hi],
-		attrW:     s.ax.attrW,
+		words:     s.ax.words,
+		wordOff:   s.ax.wordOff[lo : hi+1 : hi+1],
+		heavy:     s.ax.heavy,
+		heavyOff:  s.ax.heavyOff[lo : hi+1 : hi+1],
 		hbar2:     h,
 		ncs:       s.ax.ncs,
 		ncsOff:    s.ax.ncsOff[lo : hi+1 : hi+1],
@@ -241,9 +271,9 @@ func (s *Scorer) AuxUsers() int { return len(s.ax.deg) }
 // SyncAnon extends the anonymized-side caches over nodes appended to G1
 // after the scorer was built (features.Store.Append): each new node gets
 // its NCS vector, its closeness to the landmark set pinned at construction
-// time, and their precomputed norms, via one BFS and one Dijkstra from the
+// time, their precomputed norms, via one BFS and one Dijkstra from the
 // node (the graph is undirected, so node→landmark distances equal
-// landmark→node ones). It returns the number of nodes added. Existing
+// landmark→node ones), and its attribute bit planes. It returns the number of nodes added. Existing
 // nodes' cached vectors are deliberately not recomputed — new edges can
 // shorten old nodes' landmark distances; rebuild the scorer to refresh
 // them, and to re-pin landmarks. Every scorer sharing these caches through
@@ -264,6 +294,7 @@ func (s *Scorer) SyncAnon() int {
 		c.wclNorm1 = append(c.wclNorm1, l2norm(w))
 		added++
 	}
+	c.appendAttrs(s.g1.Attrs[n-added : n])
 	return added
 }
 
@@ -419,8 +450,9 @@ func (s *Scorer) DistanceSim(u, v int) float64 {
 // AttrSim computes s^a_uv = Jaccard(A(u), A(v)) + WeightedJaccard(WA(u),
 // WA(v)).
 func (s *Scorer) AttrSim(u, v int) float64 {
-	au := s.g1.Attrs[u]
-	return attrSimFused(au, au.TotalWeight(), s.ax.attrs[v], s.ax.attrTotW[v])
+	var p QueryProfile
+	s.PrepareQuery(u, &p)
+	return s.attrSimWith(&p, v)
 }
 
 // Score computes the combined structural similarity s_uv. Per-pair callers
